@@ -8,13 +8,15 @@ Subcommands:
   sweep    CSV of Yang-Baxter / cross-validation residuals over a colour grid
 
 Exit codes: 0 success, 1 verification or domain failure, 2 usage error.
-Complex values on the command line are written as "a+bi" literals.
+Complex values on the command line are written as "a+bi" literals and may
+start with a minus sign ("--s -0.5+1.2i").
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 
@@ -90,6 +92,9 @@ CHECK_REFS = {
 }
 
 GENERATOR_NAMES = ("H", "Z", "psi+", "psi-")
+
+#: options whose value is a complex literal (or a comma-separated list of them)
+COMPLEX_OPTIONS = ("--q", "--s", "--lambda", "--mu", "--nu")
 
 
 def parse_complex(text: str) -> complex:
@@ -237,7 +242,11 @@ def cmd_verify(args) -> int:
     except ValueError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
-    report = run_verification(args.seed, args.draws, overrides, args.guard)
+    try:
+        report = run_verification(args.seed, args.draws, overrides, args.guard)
+    except SingularParameterError as exc:
+        print(f"usage error: {exc}", file=sys.stderr)
+        return 2
     payload = json.dumps(report, indent=2)
     if args.output:
         with open(args.output, "w", encoding="utf-8") as fh:
@@ -360,6 +369,41 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _guard(text: str) -> float:
+    value = float(text)
+    if not (math.isfinite(value) and value > 0):
+        raise argparse.ArgumentTypeError("must be a finite number > 0")
+    return value
+
+
+def _attach_negative_values(argv: list[str]) -> list[str]:
+    """Rewrite ``--s -0.5+1.2i`` as ``--s=-0.5+1.2i``.
+
+    argparse reads a token that starts with "-" as an option unless it looks
+    like a plain negative real, so a complex value such as -0.5+1.2i would
+    leave its option without an argument.
+    """
+    out: list[str] = []
+    i = 0
+    while i < len(argv):
+        token = argv[i]
+        if (token in COMPLEX_OPTIONS and i + 1 < len(argv)
+                and argv[i + 1].startswith("-") and _is_complex_list(argv[i + 1])):
+            out.append(f"{token}={argv[i + 1]}")
+            i += 2
+        else:
+            out.append(token)
+            i += 1
+    return out
+
+
+def _is_complex_list(text: str) -> bool:
+    try:
+        return bool(_parse_complex_list(text))
+    except argparse.ArgumentTypeError:
+        return False
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="colouredhopf",
@@ -372,7 +416,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--draws", type=_positive_int, default=100)
     p_verify.add_argument("--tolerance", action="append", metavar="NAME=VALUE",
                           help="override a check tolerance (repeatable)")
-    p_verify.add_argument("--guard", type=float, default=DEFAULT_GUARD,
+    p_verify.add_argument("--guard", type=_guard, default=DEFAULT_GUARD,
                           help="lower bound on |q**2 - 1| for sampled points")
     p_verify.add_argument("--output", help="write the JSON report to this path")
     p_verify.set_defaults(func=cmd_verify)
@@ -383,7 +427,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_rmatrix.add_argument("--lambda", dest="lam", type=parse_complex, default=1.0 + 0j)
     p_rmatrix.add_argument("--mu", type=parse_complex, default=1.0 + 0j)
     p_rmatrix.add_argument("--format", choices=("json", "csv"), default="json")
-    p_rmatrix.add_argument("--guard", type=float, default=DEFAULT_GUARD)
+    p_rmatrix.add_argument("--guard", type=_guard, default=DEFAULT_GUARD)
     p_rmatrix.add_argument("--output")
     p_rmatrix.set_defaults(func=cmd_rmatrix)
 
@@ -396,7 +440,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_ybe.add_argument("--perturb", type=float, default=0.0,
                        help="scale the off-diagonal entry by (1 + this) as a negative control")
     p_ybe.add_argument("--tolerance", action="append", metavar="[ybe=]VALUE")
-    p_ybe.add_argument("--guard", type=float, default=DEFAULT_GUARD)
+    p_ybe.add_argument("--guard", type=_guard, default=DEFAULT_GUARD)
     p_ybe.set_defaults(func=cmd_ybe)
 
     p_sweep = sub.add_parser("sweep", help="CSV residual sweep over a colour grid")
@@ -406,7 +450,7 @@ def build_parser() -> argparse.ArgumentParser:
                          help="comma-separated colour list")
     p_sweep.add_argument("--mu", default="1", help="comma-separated colour list")
     p_sweep.add_argument("--nu", default="1", help="comma-separated colour list")
-    p_sweep.add_argument("--guard", type=float, default=DEFAULT_GUARD)
+    p_sweep.add_argument("--guard", type=_guard, default=DEFAULT_GUARD)
     p_sweep.add_argument("--output", help="write CSV here instead of stdout")
     p_sweep.set_defaults(func=cmd_sweep)
 
@@ -415,7 +459,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    args = parser.parse_args(_attach_negative_values(list(argv)))
     return args.func(args)
 
 

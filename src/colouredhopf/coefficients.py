@@ -20,6 +20,9 @@ DEFAULT_GUARD = 0.1
 #: coefficients with modulus at or below this are dropped from element maps
 PRUNE_TOL = 1e-14
 
+#: draws allowed per sampled value before the guard is declared unsatisfiable
+MAX_REJECTIONS = 10_000
+
 
 class SingularParameterError(ValueError):
     """A deformation parameter sits too close to the q**2 == 1 singularity."""
@@ -132,14 +135,25 @@ def draw_colours(
     """Draw admissible colours: the shifted copy q**(2c) must avoid 1.
 
     Operations inside the copy with colour ``c`` divide by q**(2c) - 1, so
-    a colour is redrawn until that quotient is well conditioned.
+    a colour is redrawn until that quotient is well conditioned.  Raises
+    :class:`SingularParameterError` when ``MAX_REJECTIONS`` draws in a row
+    all fail the guard.
     """
-    out = []
-    while len(out) < count:
-        c = _draw_unit_annulus(rng)
-        if abs(effective_q_squared(q, c) - 1.0) >= guard:
-            out.append(Colour(c))
-    return tuple(out)
+    return tuple(
+        Colour(_draw_admissible(
+            rng, lambda c: abs(effective_q_squared(q, c) - 1.0) >= guard,
+            f"colour with |q**(2c) - 1| >= {guard}"))
+        for _ in range(count)
+    )
+
+
+def _draw_admissible(rng: np.random.Generator, admissible, what: str) -> complex:
+    """Draw from the annulus until ``admissible`` accepts, a bounded number of times."""
+    for _ in range(MAX_REJECTIONS):
+        value = _draw_unit_annulus(rng)
+        if admissible(value):
+            return value
+    raise SingularParameterError(f"no admissible {what} in {MAX_REJECTIONS} draws")
 
 
 def sample_params(
@@ -153,17 +167,16 @@ def sample_params(
     Moduli of q, s and of the colours are uniform in [0.5, 2] with uniform
     angles.  Any q violating |q**2 - 1| >= guard is redrawn, as is any
     colour whose shifted copy violates the same bound.  Equal seeds yield
-    identical sequences.
+    identical sequences.  A guard that no draw can meet raises
+    :class:`SingularParameterError`.
     """
     if count < 1:
         raise ValueError("sample_params: count must be >= 1")
     rng = np.random.default_rng(seed)
     draws = []
     for _ in range(count):
-        while True:
-            q = _draw_unit_annulus(rng)
-            if abs(q * q - 1.0) >= guard:
-                break
+        q = _draw_admissible(rng, lambda z: abs(z * z - 1.0) >= guard,
+                             f"q with |q**2 - 1| >= {guard}")
         s = _draw_unit_annulus(rng)
         point = ParamPoint(q, s, guard)
         draws.append((point, draw_colours(rng, q, colours_per_draw, guard)))

@@ -30,6 +30,7 @@ from .pbw_algebra import (
     AlgebraElement,
     Home,
     PBWMonomial,
+    TensorElement,
     generators,
     grading_automorphism,
     multiply,
@@ -68,18 +69,25 @@ def _local_scale(q: complex, source_colour: complex, factor: complex) -> complex
     return cpow(num / denom, 0.5)
 
 
+def _scaled_term(m: PBWMonomial, coeff: complex, z_scale: complex, odd_scale: complex,
+                 exp_scale: complex) -> tuple[PBWMonomial, complex]:
+    """Image of the term ``coeff * m`` under an even map that scales Z, the
+    odd generators and the exponents."""
+    if m.z_deg:
+        coeff *= z_scale ** m.z_deg
+    n_odd = m.plus + m.minus
+    if n_odd:
+        coeff *= odd_scale ** n_odd
+    key = PBWMonomial(m.z_deg, m.h_deg, m.q_exp * exp_scale,
+                      m.s_exp * exp_scale, m.plus, m.minus)
+    return key, coeff
+
+
 def _map_monomials(x: AlgebraElement, z_scale: complex, odd_scale: complex,
                    exp_scale: complex, new_home: Home) -> AlgebraElement:
     out: dict[PBWMonomial, complex] = {}
     for m, c in x.terms.items():
-        coeff = c
-        if m.z_deg:
-            coeff *= z_scale ** m.z_deg
-        n_odd = m.plus + m.minus
-        if n_odd:
-            coeff *= odd_scale ** n_odd
-        key = PBWMonomial(m.z_deg, m.h_deg, m.q_exp * exp_scale,
-                          m.s_exp * exp_scale, m.plus, m.minus)
+        key, coeff = _scaled_term(m, c, z_scale, odd_scale, exp_scale)
         out[key] = out.get(key, 0j) + coeff
     return AlgebraElement(new_home, out)
 
@@ -102,23 +110,44 @@ def sigma_inverse(nu: Colour | complex, x: AlgebraElement) -> AlgebraElement:
     return _map_monomials(x, inv_nu, 1.0 / scale, inv_nu, home.shifted(inv_nu))
 
 
-def sigma_pair(lam: Colour | complex, mu: Colour | complex,
-               x: AlgebraElement) -> AlgebraElement:
-    """The composite map from the copy with colour mu to the one with colour
-    lam, routed through the root copy (ratio of root normalisations)."""
+def _pair_scales(lam: Colour | complex, mu: Colour | complex,
+                 home: Home) -> tuple[complex, complex, Home]:
+    """Z/exponent ratio, odd scale and target home of the composite map from
+    the copy with colour mu to the one with colour lam, applied on ``home``."""
     lam_val = as_colour(lam)
     mu_val = as_colour(mu)
-    home = x.home
     if abs(home.colour - mu_val) > 1e-9 * max(1.0, abs(mu_val)):
         raise ValueError(
             f"sigma_pair: element lives at colour {home.colour}, expected {mu_val}"
         )
-    ratio = lam_val / mu_val
     if lam_val == mu_val:
         odd = 1.0 + 0j
     else:
         odd = colour_norm(home.point.q, lam_val) / colour_norm(home.point.q, mu_val)
-    return _map_monomials(x, ratio, odd, ratio, Home(home.point, lam_val))
+    return lam_val / mu_val, odd, Home(home.point, lam_val)
+
+
+def sigma_pair(lam: Colour | complex, mu: Colour | complex,
+               x: AlgebraElement) -> AlgebraElement:
+    """The composite map from the copy with colour mu to the one with colour
+    lam, routed through the root copy (ratio of root normalisations)."""
+    ratio, odd, target = _pair_scales(lam, mu, x.home)
+    return _map_monomials(x, ratio, odd, ratio, target)
+
+
+def sigma_pair_slot(lam: Colour | complex, mu: Colour | complex,
+                    t: TensorElement, slot: int) -> TensorElement:
+    """``sigma_pair(lam, mu, .)`` applied to one slot of a tensor.
+
+    The map is even, so no sign arises and the tensor order is kept.
+    """
+    ratio, odd, target = _pair_scales(lam, mu, t.homes[slot])
+    out: dict[tuple[PBWMonomial, ...], complex] = {}
+    for key, coeff in t.terms.items():
+        mono, factor = _scaled_term(key[slot], 1.0 + 0j, ratio, odd, ratio)
+        new_key = key[:slot] + (mono,) + key[slot + 1:]
+        out[new_key] = out.get(new_key, 0j) + coeff * factor
+    return TensorElement(t.homes[:slot] + (target,) + t.homes[slot + 1:], out)
 
 
 def _flip_residual(lhs: AlgebraElement, rhs: AlgebraElement) -> tuple[float, float]:

@@ -28,11 +28,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from math import comb
 
 import numpy as np
 
 from .coefficients import ParamPoint, as_colour, colour_norm
-from .colour_group import sigma_pair
+from .colour_group import sigma_pair, sigma_pair_slot
 from .pbw_algebra import (
     UNIT_MONOMIAL,
     AlgebraElement,
@@ -74,8 +75,7 @@ class ColouredMapContext:
         return Home(self.p, self.nu)
 
 
-def _check_input_home(ctx: ColouredMapContext, x: AlgebraElement, what: str):
-    home = x.home
+def _check_input_home(ctx: ColouredMapContext, home: Home, what: str):
     if home.point.q != ctx.p.q or home.point.s != ctx.p.s:
         raise ValueError(f"{what}: element belongs to a different parameter point")
     if abs(home.colour - ctx.nu) > 1e-9 * max(1.0, abs(ctx.nu)):
@@ -86,23 +86,12 @@ def _check_input_home(ctx: ColouredMapContext, x: AlgebraElement, what: str):
 
 @lru_cache(maxsize=2048)
 def _coproduct_factors(ctx: ColouredMapContext):
-    """Tensor-square images of the four generators for this context."""
+    """Slot colour ratios lam/nu, mu/nu and the tensor-square images of psi+-."""
     lam, mu, nu = ctx.lam, ctx.mu, ctx.nu
     q = ctx.p.q
     homes = ctx.out_homes
-    rl = lam / nu
-    rm = mu / nu
     a_l = colour_norm(q, lam) / colour_norm(q, nu)
     a_m = colour_norm(q, mu) / colour_norm(q, nu)
-
-    z_img = TensorElement(homes, {
-        (PBWMonomial(1, 0, 0j, 0j, 0, 0), UNIT_MONOMIAL): rl,
-        (UNIT_MONOMIAL, PBWMonomial(1, 0, 0j, 0j, 0, 0)): rm,
-    })
-    h_img = TensorElement(homes, {
-        (PBWMonomial(0, 1, 0j, 0j, 0, 0), UNIT_MONOMIAL): 1.0 + 0j,
-        (UNIT_MONOMIAL, PBWMonomial(0, 1, 0j, 0j, 0, 0)): 1.0 + 0j,
-    })
     plus_img = TensorElement(homes, {
         (PBWMonomial(0, 0, 0j, 0j, 1, 0), PBWMonomial(0, 0, mu, -mu / 2.0, 0, 0)): a_l,
         (PBWMonomial(0, 0, 0j, lam / 2.0, 0, 0), PBWMonomial(0, 0, 0j, 0j, 1, 0)): a_m,
@@ -111,43 +100,61 @@ def _coproduct_factors(ctx: ColouredMapContext):
         (PBWMonomial(0, 0, 0j, 0j, 0, 1), PBWMonomial(0, 0, mu, mu / 2.0, 0, 0)): a_l,
         (PBWMonomial(0, 0, 0j, -lam / 2.0, 0, 0), PBWMonomial(0, 0, 0j, 0j, 0, 1)): a_m,
     })
-    return z_img, h_img, plus_img, minus_img, rl, rm
+    return lam / nu, mu / nu, plus_img, minus_img
+
+
+def _append_odd(m: PBWMonomial, odd: PBWMonomial) -> PBWMonomial:
+    """m times one slot factor of an odd image, which carries no Z or H."""
+    return PBWMonomial(m.z_deg, m.h_deg, m.q_exp + odd.q_exp, m.s_exp + odd.s_exp,
+                       m.plus | odd.plus, m.minus | odd.minus)
+
+
+def _monomial_coproduct(m: PBWMonomial, rl: complex, rm: complex,
+                        plus_img: TensorElement, minus_img: TensorElement,
+                        ) -> list[tuple[tuple[PBWMonomial, PBWMonomial], complex]]:
+    """Closed-form coproduct of one basis word Z^a H^b E (psi+)^e (psi-)^d.
+
+    D(Z)^a D(H)^b expands binomially, since all four slot factors are even
+    and commute.  The group-like exponential E only rescales its exponents
+    into each slot.  The odd images are then appended on the right, and no
+    straightening is needed: exponentials are functions of the central Z,
+    and psi+ is appended before psi-, so each slot stays in normal order.
+    The one Koszul sign is -1, when psi+ sits in slot 2 and psi- lands in
+    slot 1.
+    """
+    a, b = m.z_deg, m.h_deg
+    lq, ls = m.q_exp * rl, m.s_exp * rl
+    rq, rs = m.q_exp * rm, m.s_exp * rm
+    terms = [
+        ((PBWMonomial(k, j, lq, ls, 0, 0), PBWMonomial(a - k, b - j, rq, rs, 0, 0)),
+         comb(a, k) * comb(b, j) * rl ** k * rm ** (a - k))
+        for k in range(a + 1) for j in range(b + 1)
+    ]
+    for present, image in ((m.plus, plus_img), (m.minus, minus_img)):
+        if present:
+            terms = [
+                ((_append_odd(left, o1), _append_odd(right, o2)),
+                 -c * oc if right.parity & o1.parity else c * oc)
+                for (left, right), c in terms
+                for (o1, o2), oc in image.terms.items()
+            ]
+    return terms
 
 
 def coproduct(ctx: ColouredMapContext, x: AlgebraElement) -> TensorElement:
-    """Coloured comultiplication, extended multiplicatively over PBW factors."""
-    _check_input_home(ctx, x, "coproduct")
-    z_img, h_img, plus_img, minus_img, rl, rm = _coproduct_factors(ctx)
-    homes = z_img.homes
+    """Coloured comultiplication, evaluated in closed form per PBW monomial."""
+    _check_input_home(ctx, x.home, "coproduct")
+    rl, rm, plus_img, minus_img = _coproduct_factors(ctx)
     acc: dict[tuple[PBWMonomial, ...], complex] = {}
     for m, coeff in x.terms.items():
-        factors = []
-        factors.extend([z_img] * m.z_deg)
-        factors.extend([h_img] * m.h_deg)
-        if m.q_exp != 0 or m.s_exp != 0:
-            factors.append(TensorElement(homes, {(
-                PBWMonomial(0, 0, m.q_exp * rl, m.s_exp * rl, 0, 0),
-                PBWMonomial(0, 0, m.q_exp * rm, m.s_exp * rm, 0, 0),
-            ): 1.0 + 0j}))
-        if m.plus:
-            factors.append(plus_img)
-        if m.minus:
-            factors.append(minus_img)
-        if not factors:
-            key = (UNIT_MONOMIAL, UNIT_MONOMIAL)
-            acc[key] = acc.get(key, 0j) + coeff
-            continue
-        term = factors[0]
-        for f in factors[1:]:
-            term = tensor_multiply(term, f)
-        for key, c in term.terms.items():
+        for key, c in _monomial_coproduct(m, rl, rm, plus_img, minus_img):
             acc[key] = acc.get(key, 0j) + coeff * c
-    return TensorElement(homes, acc)
+    return TensorElement(plus_img.homes, acc)
 
 
 def counit(ctx: ColouredMapContext, x: AlgebraElement) -> complex:
     """Coloured counit: kills the generators, sends exponentials to 1."""
-    _check_input_home(ctx, x, "counit")
+    _check_input_home(ctx, x.home, "counit")
     total = 0j
     for m, coeff in x.terms.items():
         if m.z_deg == 0 and m.h_deg == 0 and not m.plus and not m.minus:
@@ -157,7 +164,7 @@ def counit(ctx: ColouredMapContext, x: AlgebraElement) -> complex:
 
 def antipode(ctx: ColouredMapContext, x: AlgebraElement) -> AlgebraElement:
     """Coloured antipode, extended as a graded anti-homomorphism."""
-    _check_input_home(ctx, x, "antipode")
+    _check_input_home(ctx, x.home, "antipode")
     mu, nu = ctx.mu, ctx.nu
     q = ctx.p.q
     out_home = Home(ctx.p, mu)
@@ -165,7 +172,7 @@ def antipode(ctx: ColouredMapContext, x: AlgebraElement) -> AlgebraElement:
     a_ratio = colour_norm(q, mu) / colour_norm(q, nu)
     psi_scale = -a_ratio
 
-    acc = AlgebraElement(out_home)
+    acc: dict[PBWMonomial, complex] = {}
     for m, coeff in x.terms.items():
         # S(m) = (-1)^(eps delta) S(psi-)^d S(psi+)^e S(exp) S(H^b) S(Z^a)
         sign = -1.0 if (m.plus and m.minus) else 1.0
@@ -182,8 +189,8 @@ def antipode(ctx: ColouredMapContext, x: AlgebraElement) -> AlgebraElement:
             s_minus = AlgebraElement(out_home, {
                 PBWMonomial(0, 0, -mu, 0j, 0, 1): psi_scale})
             term = multiply(s_minus, term)
-        acc = acc + term
-    return acc
+        _accumulate(acc, term.terms)
+    return AlgebraElement(out_home, acc)
 
 
 # ---------------------------------------------------------------------------
@@ -262,34 +269,24 @@ def _single(home: Home, mono: PBWMonomial) -> AlgebraElement:
     return AlgebraElement(home, {mono: 1.0 + 0j})
 
 
-def _apply_slot_map(t: TensorElement, slot: int, fn) -> TensorElement:
-    """Apply an even linear map to one slot; same tensor order."""
-    out_terms: dict[tuple[PBWMonomial, ...], complex] = {}
-    out_homes = None
-    for key, coeff in t.terms.items():
-        image = fn(_single(t.homes[slot], key[slot]))
-        if out_homes is None:
-            out_homes = tuple(
-                image.home if i == slot else h for i, h in enumerate(t.homes))
-        for mono, c in image.terms.items():
-            new_key = key[:slot] + (mono,) + key[slot + 1:]
-            out_terms[new_key] = out_terms.get(new_key, 0j) + coeff * c
-    if out_homes is None:
-        raise ValueError("_apply_slot_map: cannot infer homes of an empty tensor")
-    return TensorElement(out_homes, out_terms)
+def _accumulate(acc: dict, terms: dict, scale: complex = 1.0 + 0j) -> None:
+    """Add ``scale * terms`` into the term map ``acc`` in place."""
+    for key, c in terms.items():
+        acc[key] = acc.get(key, 0j) + scale * c
 
 
 def _apply_slot_coproduct(t: TensorElement, slot: int, ctx: ColouredMapContext) -> TensorElement:
     """Apply a coloured comultiplication to one slot; order grows by one."""
     if t.order != 2:
         raise ValueError("_apply_slot_coproduct: start from an order-2 tensor")
+    _check_input_home(ctx, t.homes[slot], "coproduct")
+    rl, rm, plus_img, minus_img = _coproduct_factors(ctx)
     out_terms: dict[tuple[PBWMonomial, ...], complex] = {}
     for key, coeff in t.terms.items():
-        image = coproduct(ctx, _single(t.homes[slot], key[slot]))
-        for pair, c in image.terms.items():
+        for pair, c in _monomial_coproduct(key[slot], rl, rm, plus_img, minus_img):
             new_key = key[:slot] + pair + key[slot + 1:]
             out_terms[new_key] = out_terms.get(new_key, 0j) + coeff * c
-    homes = t.homes[:slot] + ctx.out_homes + t.homes[slot + 1:]
+    homes = t.homes[:slot] + plus_img.homes + t.homes[slot + 1:]
     return TensorElement(homes, out_terms)
 
 
@@ -368,8 +365,8 @@ def verify_colour_transformations(
         direct = coproduct(ColouredMapContext(p, lam, mu, nu), x)
 
         inner = coproduct(ColouredMapContext(p, alpha, beta, nu), x)
-        lhs = _apply_slot_map(inner, 0, lambda e: sigma_pair(lam, alpha, e))
-        lhs = _apply_slot_map(lhs, 1, lambda e: sigma_pair(mu, beta, e))
+        lhs = sigma_pair_slot(lam, alpha, inner, 0)
+        lhs = sigma_pair_slot(mu, beta, lhs, 1)
         report.merge("coproduct_left", residual_between(lhs, direct))
 
         shifted = sigma_pair(gamma, nu, x)
@@ -407,11 +404,11 @@ def verify_coassociativity(
     for x in probes:
         left_inner = coproduct(ColouredMapContext(p, lam, mu, nu), x)
         lhs = _apply_slot_coproduct(left_inner, 0, ColouredMapContext(p, alpha, beta, lam))
-        lhs = _apply_slot_map(lhs, 2, lambda e: sigma_pair(gamma, mu, e))
+        lhs = sigma_pair_slot(gamma, mu, lhs, 2)
 
         right_inner = coproduct(ColouredMapContext(p, lam2, mu2, nu), x)
         rhs = _apply_slot_coproduct(right_inner, 1, ColouredMapContext(p, beta, gamma, mu2))
-        rhs = _apply_slot_map(rhs, 0, lambda e: sigma_pair(alpha, lam2, e))
+        rhs = sigma_pair_slot(alpha, lam2, rhs, 0)
 
         report.merge("coassociativity", residual_between(lhs, rhs))
     return report
@@ -468,20 +465,22 @@ def verify_antipode_axiom(
         target = unit(out_home).scaled(counit(ColouredMapContext(p, lam, mu, nu), x))
 
         t1 = coproduct(ColouredMapContext(p, lam, mu, nu), x)
-        conv1 = AlgebraElement(out_home)
+        conv1: dict[PBWMonomial, complex] = {}
         for (m1, m2), coeff in t1.terms.items():
             a = antipode(ColouredMapContext(p, alpha, alpha, lam), _single(t1.homes[0], m1))
             b = sigma_pair(alpha, mu, _single(t1.homes[1], m2))
-            conv1 = conv1 + multiply(a, b).scaled(coeff)
-        report.merge("left_convolution", residual_between(conv1, target))
+            _accumulate(conv1, multiply(a, b).terms, coeff)
+        report.merge("left_convolution",
+                     residual_between(AlgebraElement(out_home, conv1), target))
 
         t2 = coproduct(ColouredMapContext(p, lam2, mu2, nu), x)
-        conv2 = AlgebraElement(out_home)
+        conv2: dict[PBWMonomial, complex] = {}
         for (m1, m2), coeff in t2.terms.items():
             a = sigma_pair(alpha, lam2, _single(t2.homes[0], m1))
             b = antipode(ColouredMapContext(p, alpha, alpha, mu2), _single(t2.homes[1], m2))
-            conv2 = conv2 + multiply(a, b).scaled(coeff)
-        report.merge("right_convolution", residual_between(conv2, target))
+            _accumulate(conv2, multiply(a, b).terms, coeff)
+        report.merge("right_convolution",
+                     residual_between(AlgebraElement(out_home, conv2), target))
     return report
 
 
@@ -519,7 +518,7 @@ def verify_bialgebra(
 
         dx = coproduct(ctx, x)
         dy = coproduct(ctx, y)
-        rhs = TensorElement(homes)
+        rhs: dict[tuple[PBWMonomial, ...], complex] = {}
         for (x1, x2), cx in dx.terms.items():
             for (y1, y2), cy in dy.terms.items():
                 middle = TensorElement((homes[1], homes[0]), {(x2, y1): 1.0 + 0j})
@@ -527,8 +526,9 @@ def verify_bialgebra(
                 for (y1t, x2t), sgn in twisted.terms.items():
                     left = multiply(_single(homes[0], x1), _single(homes[0], y1t))
                     right = multiply(_single(homes[1], x2t), _single(homes[1], y2))
-                    rhs = rhs + tensor_concat(left, right).scaled(cx * cy * sgn)
-        report.merge("coproduct_of_product", residual_between(lhs, rhs))
+                    _accumulate(rhs, tensor_concat(left, right).terms, cx * cy * sgn)
+        report.merge("coproduct_of_product",
+                     residual_between(lhs, TensorElement(homes, rhs)))
 
         e_lhs = counit(ctx, xy)
         e_rhs = counit(ctx, x) * counit(ctx, y)

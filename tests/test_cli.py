@@ -154,3 +154,35 @@ def test_sweep_unwritable_output_fails(tmp_path, capsys):
                "--output", str(tmp_path / "missing" / "out.csv")])
     assert rc == 1
     assert "error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("guard", ["-1", "0", "nan", "inf"])
+def test_verify_guard_must_be_finite_and_positive(guard, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--draws", "1", "--guard", guard])
+    assert exc.value.code == 2
+    assert "--guard" in capsys.readouterr().err
+
+
+def test_verify_unsatisfiable_guard_is_usage_error(capsys):
+    # |q**2 - 1| <= 5 on the sampling annulus, so no draw can meet guard 6
+    rc = main(["verify", "--draws", "1", "--guard", "6"])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "no admissible q" in captured.err
+
+
+@pytest.mark.parametrize("spaced, joined", [
+    (["ybe", "--q", "2", "--s", "-0.5+1.2i"],
+     ["ybe", "--q", "2", "--s=-0.5+1.2i"]),
+    (["rmatrix", "--q", "2", "--s", "-0.5+1.2i", "--lambda", "-1+0.5i"],
+     ["rmatrix", "--q", "2", "--s=-0.5+1.2i", "--lambda=-1+0.5i"]),
+    (["sweep", "--q", "2", "--s", "-0.5+1.2i", "--mu", "-0.5+1.2i,1"],
+     ["sweep", "--q", "2", "--s=-0.5+1.2i", "--mu=-0.5+1.2i,1"]),
+])
+def test_negative_complex_value_after_space(spaced, joined, capsys):
+    assert main(joined) == 0
+    expected = capsys.readouterr().out
+    assert main(spaced) == 0
+    assert capsys.readouterr().out == expected

@@ -10,6 +10,7 @@ from colouredhopf.colour_group import (
     sigma,
     sigma_inverse,
     sigma_pair,
+    sigma_pair_slot,
 )
 from colouredhopf.pbw_algebra import (
     Home,
@@ -20,6 +21,7 @@ from colouredhopf.pbw_algebra import (
     psi_minus,
     psi_plus,
     residual_between,
+    tensor_concat,
     z_gen,
 )
 
@@ -155,3 +157,20 @@ def test_sigma_pair_composition_is_exact():
 def test_sigma_pair_rejects_wrong_home():
     with pytest.raises(ValueError):
         sigma_pair(2.0, 3.0, psi_plus(HOME))  # element lives at colour 1, not 3
+
+
+def test_sigma_pair_slot_matches_sigma_pair_on_each_slot():
+    mu = 0.8 + 0.6j
+    x = psi_plus(Home(P, mu)) + 0.5 * z_gen(Home(P, mu))
+    y = psi_minus(HOME) + 2.0 * z_gen(HOME)
+    t = tensor_concat(x, y, x)
+    for slot, (left, mid, right) in enumerate([
+            (sigma_pair(1.3, mu, x), y, x),
+            (x, sigma_pair(1.3, 1.0, y), x),
+            (x, y, sigma_pair(1.3, mu, x))]):
+        source = 1.0 if slot == 1 else mu
+        out = sigma_pair_slot(1.3, source, t, slot)
+        assert out.homes[slot] == Home(P, 1.3)
+        assert residual_between(out, tensor_concat(left, mid, right)) == 0.0
+    with pytest.raises(ValueError):
+        sigma_pair_slot(1.3, mu, t, 1)  # slot 1 lives at colour 1, not mu
