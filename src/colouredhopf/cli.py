@@ -338,9 +338,9 @@ def cmd_sweep(args) -> int:
         rows = ["q,s,lambda,mu,nu,ybe_residual,crossval_residual"]
         for lam in lams:
             for mu in mus:
+                cv = crossval_residual(point, lam, mu)
                 for nu in nus:
                     ybe = check_coloured_graded_ybe(point, lam, mu, nu)
-                    cv = crossval_residual(point, lam, mu)
                     rows.append(",".join([
                         format_complex(point.q), format_complex(point.s),
                         format_complex(lam), format_complex(mu), format_complex(nu),

@@ -41,22 +41,6 @@ from .pbw_algebra import (
 _A_RATIO_FLOOR = 1e-9
 
 
-@dataclass(frozen=True)
-class ColourMap:
-    """Bookkeeping record for one colour map between two parameter points."""
-
-    nu: complex
-    source: ParamPoint
-    target: ParamPoint
-
-
-def colour_map(p: ParamPoint, nu: Colour | complex) -> ColourMap:
-    """The map with colour nu out of the copy at ``p`` (q -> q**nu, s fixed)."""
-    nu_val = as_colour(nu)
-    target = ParamPoint(cpow(p.q, nu_val), p.s, p.guard)
-    return ColourMap(nu_val, p, target)
-
-
 def _local_scale(q: complex, source_colour: complex, factor: complex) -> complex:
     """Odd-generator scale of the colour map with ``factor`` out of the copy
     with colour ``source_colour`` (one principal square root)."""

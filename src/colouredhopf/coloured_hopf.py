@@ -29,22 +29,26 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from math import comb
+from typing import NamedTuple
 
 import numpy as np
 
 from .coefficients import ParamPoint, as_colour, colour_norm
-from .colour_group import sigma_pair, sigma_pair_slot
+from .colour_group import _pair_scales, _scaled_term, sigma_pair, sigma_pair_slot
 from .pbw_algebra import (
     UNIT_MONOMIAL,
     AlgebraElement,
     Home,
     PBWMonomial,
     TensorElement,
+    _check_sign_rule,
+    _home_mul_data,
+    _mono_mul,
+    _mul_terms,
+    _twist_negates,
     generators,
-    graded_twist,
     multiply,
     residual_between,
-    tensor_concat,
     tensor_multiply,
     tensor_unit,
     unit,
@@ -152,45 +156,67 @@ def coproduct(ctx: ColouredMapContext, x: AlgebraElement) -> TensorElement:
     return TensorElement(plus_img.homes, acc)
 
 
+def _counit_is_one(m: PBWMonomial) -> bool:
+    """Whether the counit sends the basis word m to 1 rather than 0: m is a
+    pure exponential, which is group-like."""
+    return m.z_deg == 0 and m.h_deg == 0 and not m.plus and not m.minus
+
+
 def counit(ctx: ColouredMapContext, x: AlgebraElement) -> complex:
     """Coloured counit: kills the generators, sends exponentials to 1."""
     _check_input_home(ctx, x.home, "counit")
     total = 0j
     for m, coeff in x.terms.items():
-        if m.z_deg == 0 and m.h_deg == 0 and not m.plus and not m.minus:
+        if _counit_is_one(m):
             total += coeff
     return total
+
+
+class _AntipodeFactors(NamedTuple):
+    """What ``_monomial_antipode`` needs of S^mu_nu, computed once per map."""
+
+    home: Home  # the target copy, colour mu
+    mu: complex
+    nu: complex
+    ratio: complex  # S(Z) = ratio * Z, ratio = -mu/nu
+    psi_scale: complex  # S(psi+-) = psi_scale * q^(-mu Z) psi+-
+    mul_data: tuple[complex, complex | None]  # _home_mul_data(home)
+
+
+def _antipode_factors(ctx: ColouredMapContext) -> _AntipodeFactors:
+    mu, nu = ctx.mu, ctx.nu
+    q = ctx.p.q
+    home = Home(ctx.p, mu)
+    psi_scale = -(colour_norm(q, mu) / colour_norm(q, nu))
+    return _AntipodeFactors(home, mu, nu, -mu / nu, psi_scale, _home_mul_data(home))
+
+
+def _monomial_antipode(m: PBWMonomial, coeff: complex,
+                       factors: _AntipodeFactors) -> dict[PBWMonomial, complex]:
+    """S^mu_nu of ``coeff * m`` for one basis word m = Z^a H^b E (psi+)^e (psi-)^d.
+
+    S(m) = (-1)^(e d) S(psi-)^d S(psi+)^e S(E) S(H)^b S(Z)^a: the even image
+    is one monomial, and each odd image is multiplied in on the left.
+    """
+    _, mu, nu, ratio, psi_scale, (two_c, inv) = factors
+    sign = -1.0 if (m.plus and m.minus) else 1.0
+    terms = {PBWMonomial(m.z_deg, m.h_deg, -m.q_exp * mu / nu, -m.s_exp * mu / nu, 0, 0):
+             sign * coeff * ratio ** m.z_deg * (-1.0) ** m.h_deg}
+    if m.plus:
+        terms = _mul_terms({PBWMonomial(0, 0, -mu, 0j, 1, 0): psi_scale}, terms, two_c, inv)
+    if m.minus:
+        terms = _mul_terms({PBWMonomial(0, 0, -mu, 0j, 0, 1): psi_scale}, terms, two_c, inv)
+    return terms
 
 
 def antipode(ctx: ColouredMapContext, x: AlgebraElement) -> AlgebraElement:
     """Coloured antipode, extended as a graded anti-homomorphism."""
     _check_input_home(ctx, x.home, "antipode")
-    mu, nu = ctx.mu, ctx.nu
-    q = ctx.p.q
-    out_home = Home(ctx.p, mu)
-    ratio = -mu / nu
-    a_ratio = colour_norm(q, mu) / colour_norm(q, nu)
-    psi_scale = -a_ratio
-
+    factors = _antipode_factors(ctx)
     acc: dict[PBWMonomial, complex] = {}
     for m, coeff in x.terms.items():
-        # S(m) = (-1)^(eps delta) S(psi-)^d S(psi+)^e S(exp) S(H^b) S(Z^a)
-        sign = -1.0 if (m.plus and m.minus) else 1.0
-        even_img = AlgebraElement(out_home, {
-            PBWMonomial(m.z_deg, m.h_deg, -m.q_exp * mu / nu, -m.s_exp * mu / nu, 0, 0):
-            sign * coeff * ratio ** m.z_deg * (-1.0) ** m.h_deg
-        })
-        term = even_img
-        if m.plus:
-            s_plus = AlgebraElement(out_home, {
-                PBWMonomial(0, 0, -mu, 0j, 1, 0): psi_scale})
-            term = multiply(s_plus, term)
-        if m.minus:
-            s_minus = AlgebraElement(out_home, {
-                PBWMonomial(0, 0, -mu, 0j, 0, 1): psi_scale})
-            term = multiply(s_minus, term)
-        _accumulate(acc, term.terms)
-    return AlgebraElement(out_home, acc)
+        _accumulate(acc, _monomial_antipode(m, coeff, factors))
+    return AlgebraElement(factors.home, acc)
 
 
 # ---------------------------------------------------------------------------
@@ -265,10 +291,6 @@ def standard_antipode(p: ParamPoint, x: AlgebraElement) -> AlgebraElement:
 # slot application helpers
 # ---------------------------------------------------------------------------
 
-def _single(home: Home, mono: PBWMonomial) -> AlgebraElement:
-    return AlgebraElement(home, {mono: 1.0 + 0j})
-
-
 def _accumulate(acc: dict, terms: dict, scale: complex = 1.0 + 0j) -> None:
     """Add ``scale * terms`` into the term map ``acc`` in place."""
     for key, c in terms.items():
@@ -290,16 +312,36 @@ def _apply_slot_coproduct(t: TensorElement, slot: int, ctx: ColouredMapContext) 
     return TensorElement(homes, out_terms)
 
 
-def _contract_counit_slot(t: TensorElement, slot: int, ctx: ColouredMapContext) -> AlgebraElement:
+def _contract_counit_slot(t: TensorElement, slot: int) -> AlgebraElement:
     """Contract one slot of an order-2 tensor with the coloured counit."""
     other = 1 - slot
     acc: dict[PBWMonomial, complex] = {}
     for key, coeff in t.terms.items():
-        scal = counit(ctx, _single(t.homes[slot], key[slot]))
-        if scal != 0:
+        if _counit_is_one(key[slot]):
             mono = key[other]
-            acc[mono] = acc.get(mono, 0j) + coeff * scal
+            acc[mono] = acc.get(mono, 0j) + coeff
     return AlgebraElement(t.homes[other], acc)
+
+
+def _antipode_convolution(t: TensorElement, slot: int, s_factors: _AntipodeFactors,
+                          lam: complex) -> dict[PBWMonomial, complex]:
+    """m o (S ox s) or m o (s ox S) on an order-2 tensor, one term at a time.
+
+    S acts on ``slot`` (``_monomial_antipode``); s = ``sigma_pair(lam, ., .)``
+    acts on the other slot, from that slot's own colour.
+    """
+    other = 1 - slot
+    ratio, odd, _ = _pair_scales(lam, t.homes[other].colour, t.homes[other])
+    acc: dict[PBWMonomial, complex] = {}
+    for key, coeff in t.terms.items():
+        s_img = _monomial_antipode(key[slot], 1.0 + 0j, s_factors)
+        mono, c = _scaled_term(key[other], 1.0 + 0j, ratio, odd, ratio)
+        if slot == 0:
+            product = _mul_terms(s_img, {mono: c}, *s_factors.mul_data)
+        else:
+            product = _mul_terms({mono: c}, s_img, *s_factors.mul_data)
+        _accumulate(acc, product, coeff)
+    return acc
 
 
 # ---------------------------------------------------------------------------
@@ -433,12 +475,12 @@ def verify_counit_axiom(
         target = sigma_pair(alpha, nu, x)
 
         t1 = coproduct(ColouredMapContext(p, lam, mu, nu), x)
-        left = _contract_counit_slot(t1, 0, ColouredMapContext(p, lam, mu, lam))
+        left = _contract_counit_slot(t1, 0)
         left = sigma_pair(alpha, mu, left)
         report.merge("left_contraction", residual_between(left, target))
 
         t2 = coproduct(ColouredMapContext(p, lam2, mu2, nu), x)
-        right = _contract_counit_slot(t2, 1, ColouredMapContext(p, lam2, mu2, mu2))
+        right = _contract_counit_slot(t2, 1)
         right = sigma_pair(alpha, lam2, right)
         report.merge("right_contraction", residual_between(right, target))
     return report
@@ -461,24 +503,18 @@ def verify_antipode_axiom(
         probes = default_probes(p, nu)
     report = ResidualReport("antipode_axiom", 0.0)
     out_home = Home(p, alpha)
+    s_left = _antipode_factors(ColouredMapContext(p, alpha, alpha, lam))
+    s_right = _antipode_factors(ColouredMapContext(p, alpha, alpha, mu2))
     for x in probes:
         target = unit(out_home).scaled(counit(ColouredMapContext(p, lam, mu, nu), x))
 
         t1 = coproduct(ColouredMapContext(p, lam, mu, nu), x)
-        conv1: dict[PBWMonomial, complex] = {}
-        for (m1, m2), coeff in t1.terms.items():
-            a = antipode(ColouredMapContext(p, alpha, alpha, lam), _single(t1.homes[0], m1))
-            b = sigma_pair(alpha, mu, _single(t1.homes[1], m2))
-            _accumulate(conv1, multiply(a, b).terms, coeff)
+        conv1 = _antipode_convolution(t1, 0, s_left, alpha)
         report.merge("left_convolution",
                      residual_between(AlgebraElement(out_home, conv1), target))
 
         t2 = coproduct(ColouredMapContext(p, lam2, mu2, nu), x)
-        conv2: dict[PBWMonomial, complex] = {}
-        for (m1, m2), coeff in t2.terms.items():
-            a = sigma_pair(alpha, lam2, _single(t2.homes[0], m1))
-            b = antipode(ColouredMapContext(p, alpha, alpha, mu2), _single(t2.homes[1], m2))
-            _accumulate(conv2, multiply(a, b).terms, coeff)
+        conv2 = _antipode_convolution(t2, 1, s_right, alpha)
         report.merge("right_convolution",
                      residual_between(AlgebraElement(out_home, conv2), target))
     return report
@@ -497,6 +533,7 @@ def verify_bialgebra(
     eps(1) = 1.  ``twist_sign`` selects the twist's sign exponent and exists
     so the suite can demonstrate that (deg a)(deg a) breaks the axiom.
     """
+    _check_sign_rule(twist_sign, "verify_bialgebra")
     lam, mu, nu = (as_colour(c) for c in colours)
     ctx = ColouredMapContext(p, lam, mu, nu)
     if probe_pairs is None:
@@ -507,6 +544,7 @@ def verify_bialgebra(
                         for _ in range(4)]
     report = ResidualReport("bialgebra", 0.0)
     homes = ctx.out_homes
+    left_data, right_data = _home_mul_data(homes[0]), _home_mul_data(homes[1])
 
     one = unit(ctx.in_home)
     report.merge("unit_coproduct", residual_between(coproduct(ctx, one), tensor_unit(homes)))
@@ -518,15 +556,15 @@ def verify_bialgebra(
 
         dx = coproduct(ctx, x)
         dy = coproduct(ctx, y)
+        # (x1 ox x2)(y1 ox y2) = +-(x1 y1 ox x2 y2), the sign from twisting x2 past y1
         rhs: dict[tuple[PBWMonomial, ...], complex] = {}
         for (x1, x2), cx in dx.terms.items():
             for (y1, y2), cy in dy.terms.items():
-                middle = TensorElement((homes[1], homes[0]), {(x2, y1): 1.0 + 0j})
-                twisted = graded_twist(middle, sign_rule=twist_sign)
-                for (y1t, x2t), sgn in twisted.terms.items():
-                    left = multiply(_single(homes[0], x1), _single(homes[0], y1t))
-                    right = multiply(_single(homes[1], x2t), _single(homes[1], y2))
-                    _accumulate(rhs, tensor_concat(left, right).terms, cx * cy * sgn)
+                cxy = -(cx * cy) if _twist_negates(x2, y1, twist_sign) else cx * cy
+                right = _mono_mul(x2, y2, *right_data)
+                for left, cl in _mono_mul(x1, y1, *left_data):
+                    for r, cr in right:
+                        rhs[(left, r)] = rhs.get((left, r), 0j) + cxy * (cl * cr)
         report.merge("coproduct_of_product",
                      residual_between(lhs, TensorElement(homes, rhs)))
 

@@ -184,9 +184,6 @@ def psi_plus(home: Home) -> AlgebraElement:
 def psi_minus(home: Home) -> AlgebraElement:
     return AlgebraElement(home, {PSI_MINUS_MONOMIAL: 1.0 + 0j})
 
-def exponential_factor(home: Home, q_exp: complex, s_exp: complex) -> AlgebraElement:
-    return AlgebraElement(home, {PBWMonomial(0, 0, complex(q_exp), complex(s_exp), 0, 0): 1.0 + 0j})
-
 def generators(home: Home) -> dict[str, AlgebraElement]:
     return {
         "H": h_gen(home),
@@ -265,17 +262,22 @@ def _home_mul_data(home: Home) -> tuple[complex, complex | None]:
     return 2.0 * home.colour, inv
 
 
+def _mul_terms(xs: dict[PBWMonomial, complex], ys: dict[PBWMonomial, complex],
+               two_colour: complex, inv_denom: complex | None) -> dict[PBWMonomial, complex]:
+    """Product of two term maps of one copy (``_home_mul_data``), unpruned."""
+    acc: dict[PBWMonomial, complex] = {}
+    for m1, c1 in xs.items():
+        for m2, c2 in ys.items():
+            c12 = c1 * c2
+            for mono, coeff in _mono_mul(m1, m2, two_colour, inv_denom):
+                acc[mono] = acc.get(mono, 0j) + c12 * coeff
+    return acc
+
+
 def multiply(x: AlgebraElement, y: AlgebraElement) -> AlgebraElement:
     """Product in the home copy, straightened to PBW normal form."""
     _require_same_home(x.home, y.home, "multiply")
-    two_c, inv = _home_mul_data(x.home)
-    acc: dict[PBWMonomial, complex] = {}
-    for m1, c1 in x.terms.items():
-        for m2, c2 in y.terms.items():
-            c12 = c1 * c2
-            for mono, coeff in _mono_mul(m1, m2, two_c, inv):
-                acc[mono] = acc.get(mono, 0j) + c12 * coeff
-    return AlgebraElement(x.home, acc)
+    return AlgebraElement(x.home, _mul_terms(x.terms, y.terms, *_home_mul_data(x.home)))
 
 
 def grading_automorphism(x: AlgebraElement) -> AlgebraElement:
@@ -408,22 +410,35 @@ def tensor_multiply(u: TensorElement, v: TensorElement) -> TensorElement:
     return TensorElement(u.homes, acc)
 
 
+def _check_sign_rule(sign_rule: str, what: str) -> None:
+    """Reject a twist sign rule other than 'product' and 'self'."""
+    if sign_rule not in ("product", "self"):
+        raise ValueError(f"{what}: unknown sign rule {sign_rule!r}")
+
+
+def _twist_negates(a: PBWMonomial, b: PBWMonomial, sign_rule: str) -> bool:
+    """Whether swapping a ox b to b ox a picks up -1 under ``sign_rule``.
+
+    ``'product'`` uses the Koszul exponent (deg a)(deg b); ``'self'`` uses
+    (deg a)(deg a).  The rule is not validated here (``_check_sign_rule``).
+    """
+    return bool(a.parity * b.parity if sign_rule == "product" else a.parity)
+
+
 def graded_twist(u: TensorElement, sign_rule: str = "product") -> TensorElement:
     """Swap the two slots with the super sign.
 
-    ``sign_rule='product'`` uses the Koszul exponent (deg a)(deg b);
-    ``sign_rule='self'`` uses (deg a)(deg a), which is available so that the
-    verification suite can demonstrate that it breaks the bialgebra
-    compatibility.
+    ``sign_rule='product'`` is the Koszul sign; ``sign_rule='self'`` is
+    available so that the verification suite can demonstrate that it breaks
+    the bialgebra compatibility.
     """
     if u.order != 2:
         raise ValueError("graded_twist: order-2 tensors only")
-    if sign_rule not in ("product", "self"):
-        raise ValueError(f"graded_twist: unknown sign rule {sign_rule!r}")
+    _check_sign_rule(sign_rule, "graded_twist")
     out: dict[tuple[PBWMonomial, ...], complex] = {}
     for (a, b), coeff in u.terms.items():
-        exp = a.parity * b.parity if sign_rule == "product" else a.parity
-        out[(b, a)] = out.get((b, a), 0j) + (-coeff if exp & 1 else coeff)
+        signed = -coeff if _twist_negates(a, b, sign_rule) else coeff
+        out[(b, a)] = out.get((b, a), 0j) + signed
     return TensorElement((u.homes[1], u.homes[0]), out)
 
 

@@ -75,11 +75,6 @@ class GradedMatrix:
     def dim(self) -> int:
         return len(self.parities)
 
-    def __matmul__(self, other: "GradedMatrix") -> "GradedMatrix":
-        if self.parities != other.parities:
-            raise ValueError("GradedMatrix: parity mismatch in product")
-        return GradedMatrix(self.entries @ other.entries, self.parities)
-
 
 def frobenius_residual(a: np.ndarray, b: np.ndarray) -> float:
     """||a - b||_F normalised by max(1, ||a||_F)."""

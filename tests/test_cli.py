@@ -149,6 +149,41 @@ def test_sweep_grid_shape_and_determinism(tmp_path):
         assert float(cells[5]) <= 1e-10
 
 
+def test_sweep_computes_crossval_once_per_lambda_mu(tmp_path, monkeypatch):
+    """crossval_residual does not depend on nu: one call per (lambda, mu),
+    and every row still carries the value of its own (lambda, mu)."""
+    from colouredhopf import cli
+    from colouredhopf.coefficients import ParamPoint
+    from colouredhopf.representation import check_coloured_graded_ybe, crossval_residual
+
+    calls = []
+
+    def counting(point, lam, mu):
+        calls.append((lam, mu))
+        return crossval_residual(point, lam, mu)
+
+    monkeypatch.setattr(cli, "crossval_residual", counting)
+    out = tmp_path / "sweep.csv"
+    lams, mus, nus = (1.0, 0.5 + 0.5j), (1.5, 2j), (1.2, 0.8 - 0.3j, 1.0)
+    argv = ["sweep", "--q", "2", "--s", "1.5",
+            "--lambda", "1,0.5+0.5i", "--mu", "1.5,2i", "--nu", "1.2,0.8-0.3i,1",
+            "--output", str(out)]
+    assert main(argv) == 0
+    assert len(calls) == len(lams) * len(mus)
+
+    point = ParamPoint(2.0, 1.5)
+    expected = ["q,s,lambda,mu,nu,ybe_residual,crossval_residual"]
+    for lam in lams:
+        for mu in mus:
+            for nu in nus:
+                expected.append(",".join([
+                    format_complex(point.q), format_complex(point.s),
+                    format_complex(lam), format_complex(mu), format_complex(nu),
+                    repr(check_coloured_graded_ybe(point, lam, mu, nu)),
+                    repr(crossval_residual(point, lam, mu))]))
+    assert out.read_text() == "\n".join(expected) + "\n"
+
+
 def test_sweep_unwritable_output_fails(tmp_path, capsys):
     rc = main(["sweep", "--q", "2", "--s", "1",
                "--output", str(tmp_path / "missing" / "out.csv")])

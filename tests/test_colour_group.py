@@ -3,10 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from colouredhopf.coefficients import ParamPoint, colour_norm, cpow, sample_params
+from colouredhopf.coefficients import ParamPoint, colour_norm, sample_params
 from colouredhopf.colour_group import (
     check_group_laws,
-    colour_map,
     sigma,
     sigma_inverse,
     sigma_pair,
@@ -76,13 +75,6 @@ def test_sigma_inverse_scales_z_down():
     img = sigma_inverse(2.0, z_at_two)
     ok, res = equal_upto_tol(img, z_gen(HOME).scaled(0.5), 1e-14)
     assert ok, res
-
-
-def test_colour_map_records_target():
-    cm = colour_map(P, 3.0)
-    assert cm.source == P
-    assert cm.target.q == pytest.approx(cpow(P.q, 3.0))
-    assert cm.target.s == P.s
 
 
 def test_group_laws_trivial_colours():

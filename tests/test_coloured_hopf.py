@@ -30,6 +30,7 @@ from colouredhopf.pbw_algebra import (
     equal_upto_tol,
     generators,
     h_gen,
+    multiply,
     psi_minus,
     psi_plus,
     residual_between,
@@ -280,4 +281,74 @@ def test_dropped_koszul_sign_is_caught(monkeypatch):
     monkeypatch.setattr(coloured_hopf, "_monomial_coproduct", unsigned)
     report = {c["name"]: c["max_residual"] for c in run_verification(0, 5)["checks"]}
     for name in ("antipode_axiom", "bialgebra", "reduction"):
+        assert report[name] >= 1e3 * DEFAULT_TOLERANCES[name], (name, report[name])
+
+
+def _multiplicative_antipode(ctx, x):
+    """S as the graded anti-homomorphism of its definition: for each basis word
+    Z^a H^b E psi+^e psi-^d, the product (-1)^(e d) S(psi-)^d S(psi+)^e S(E)
+    S(H)^b S(Z)^a of generator images, folded with multiply."""
+    mu, nu = ctx.mu, ctx.nu
+    home = Home(ctx.p, mu)
+    psi_scale = -colour_norm(ctx.p.q, mu) / colour_norm(ctx.p.q, nu)
+    s_z = z_gen(home).scaled(-mu / nu)
+    s_h = h_gen(home).scaled(-1.0)
+    s_plus = AlgebraElement(home, {PBWMonomial(0, 0, -mu, 0j, 1, 0): psi_scale})
+    s_minus = AlgebraElement(home, {PBWMonomial(0, 0, -mu, 0j, 0, 1): psi_scale})
+    acc = AlgebraElement(home)
+    for m, coeff in x.terms.items():
+        s_exp = AlgebraElement(home, {
+            PBWMonomial(0, 0, -m.q_exp * mu / nu, -m.s_exp * mu / nu, 0, 0): 1.0 + 0j})
+        factors = ([s_minus] * m.minus + [s_plus] * m.plus + [s_exp]
+                   + [s_h] * m.h_deg + [s_z] * m.z_deg)
+        term = unit(home).scaled(-coeff if m.plus and m.minus else coeff)
+        for f in factors:
+            term = multiply(term, f)
+        acc = acc + term
+    return acc
+
+
+def test_monomial_antipode_matches_multiplicative_definition():
+    rng = np.random.default_rng(79)
+    shapes = [(z, h, e, d) for z in range(5) for h in range(5)
+              for e in range(2) for d in range(2)]
+    for point, (c1, c2, c3) in sample_params(83, 3):
+        ctx = ColouredMapContext(point, c1.value, c2.value, c3.value)
+        home = ctx.in_home
+        for z, h, e, d in shapes:
+            for with_exp in (False, True):
+                if with_exp:
+                    qe, se = complex(*rng.normal(0, 0.5, 2)), complex(*rng.normal(0, 0.5, 2))
+                else:
+                    qe = se = 0j
+                x = AlgebraElement(home, {
+                    PBWMonomial(z, h, qe, se, e, d): complex(*rng.normal(size=2))})
+                res = residual_between(antipode(ctx, x), _multiplicative_antipode(ctx, x))
+                assert res <= 1e-12, ((z, h, e, d), with_exp, res)
+
+
+def test_bialgebra_rejects_unknown_twist_sign():
+    nu = 1.1 + 0.2j
+    home = Home(PC, nu)
+    with pytest.raises(ValueError):
+        verify_bialgebra(PC, (0.9 - 0.3j, 1.4 + 0.5j, nu),
+                         [(psi_plus(home), psi_minus(home))], twist_sign="bogus")
+
+
+def test_dropped_antipode_sign_is_caught(monkeypatch):
+    """Planting the monomial antipode without its sign (-1)^(eps delta) must
+    fail antipode_axiom and reduction by far.
+
+    colour_transformations does not see this plant: both of its antipode
+    routes go through the same ``_monomial_antipode``, so the planted error
+    cancels between them.
+    """
+    original = coloured_hopf._monomial_antipode
+
+    def unsigned(m, coeff, factors):
+        return original(m, -coeff if m.plus and m.minus else coeff, factors)
+
+    monkeypatch.setattr(coloured_hopf, "_monomial_antipode", unsigned)
+    report = {c["name"]: c["max_residual"] for c in run_verification(0, 5)["checks"]}
+    for name in ("antipode_axiom", "reduction"):
         assert report[name] >= 1e3 * DEFAULT_TOLERANCES[name], (name, report[name])
