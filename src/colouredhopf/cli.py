@@ -19,6 +19,7 @@ import json
 import math
 import sys
 import time
+from typing import Callable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -46,8 +47,9 @@ from .coloured_hopf import (
     verify_relation_preservation,
 )
 from .colour_group import check_group_laws
-from .pbw_algebra import Home, generators, residual_between
+from .pbw_algebra import AlgebraElement, Home, generators, residual_between
 from .representation import (
+    check_anticommutator,
     check_coloured_graded_ybe,
     check_hexagons,
     check_intertwiner,
@@ -55,41 +57,6 @@ from .representation import (
     coloured_R_closed_form,
     crossval_residual,
 )
-
-DEFAULT_TOLERANCES = {
-    "group_laws": 1e-11,
-    "colour_transformations": 1e-10,
-    "coassociativity": 1e-10,
-    "counit_axiom": 1e-10,
-    "antipode_axiom": 1e-10,
-    "bialgebra": 1e-10,
-    "relation_preservation": 1e-11,
-    "reduction": 1e-11,
-    "crossval": 1e-12,
-    "ybe": 1e-10,
-    "ybe_negative_control": 1e-6,
-    "intertwiner": 1e-10,
-    "hexagons": 1e-10,
-    "r_inverse": 1e-12,
-}
-
-# short statements of the identity each check verifies (report metadata)
-CHECK_REFS = {
-    "group_laws": "colour-group composition, identity, inverse and grading laws",
-    "colour_transformations": "coloured maps transform consistently under the colour group",
-    "coassociativity": "generalized coassociativity axiom",
-    "counit_axiom": "generalized counit axiom",
-    "antipode_axiom": "generalized antipode axiom",
-    "bialgebra": "generalized bialgebra axioms with the graded twist",
-    "relation_preservation": "comultiplication and representation respect the anticommutator",
-    "reduction": "identity colours reduce to the standard Hopf-superalgebra maps",
-    "crossval": "closed-form and universal-route R-matrices agree entrywise",
-    "ybe": "coloured graded Yang-Baxter equation",
-    "ybe_negative_control": "a perturbed R-matrix must violate the Yang-Baxter equation",
-    "intertwiner": "R-matrix intertwines the comultiplication and its graded flip",
-    "hexagons": "quasitriangularity hexagon identities",
-    "r_inverse": "nilpotent closed-form inverse matches the numeric inverse",
-}
 
 GENERATOR_NAMES = ("H", "Z", "psi+", "psi-")
 
@@ -134,84 +101,151 @@ def _parse_tolerance_items(items, default_name: str | None = None) -> dict[str, 
 # verify
 # ---------------------------------------------------------------------------
 
+class Draw(NamedTuple):
+    """One seeded draw of the verify suite: a point, its colours and probes."""
+
+    index: int
+    point: ParamPoint
+    l1: complex
+    l2: complex
+    nu: complex
+    alpha: complex
+    lam: complex
+    mu: complex
+    lam2: complex
+    mu2: complex
+    probes: list[AlgebraElement]  # unit, generators and 20 random probes at colour nu
+    reduction_probes: list[AlgebraElement]  # unit, generators and 3 random probes at colour 1
+
+
+def _draws(seed: int, draws: int, guard: float) -> Iterator[Draw]:
+    """The verify draws: (point, l1, l2, nu) from ``sample_params``, then five
+    more colours, the probes and the reduction probes from one second stream."""
+    rng = np.random.default_rng(seed + 1)
+    for index, (point, (c1, c2, c3)) in enumerate(sample_params(seed, draws, guard)):
+        alpha, lam, mu, lam2, mu2 = (c.value for c in draw_colours(rng, point.q, 5, guard))
+        probes = default_probes(point, c3.value, rng=rng, n_random=20)
+        reduction_probes = default_probes(point, 1.0, rng=rng, n_random=3)
+        yield Draw(index, point, c1.value, c2.value, c3.value, alpha, lam, mu, lam2, mu2,
+                   probes, reduction_probes)
+
+
+def _bialgebra_residual(d: Draw) -> float:
+    """All 16 ordered generator pairs, plus one pair of random probes."""
+    gens = generators(Home(d.point, d.nu))
+    pairs = [(a, b) for a in gens.values() for b in gens.values()]
+    pairs.append((d.probes[5], d.probes[6]))
+    return verify_bialgebra(d.point, (d.lam, d.mu, d.nu), pairs).max_residual
+
+
+def _reduction_residual(d: Draw) -> float:
+    """Coloured maps at identity colours against the standard structure maps."""
+    point = d.point
+    ctx = ColouredMapContext(point, 1.0, 1.0, 1.0)
+    worst = 0.0
+    for x in d.reduction_probes:
+        worst = max(worst, residual_between(coproduct(ctx, x), standard_coproduct(point, x)))
+        worst = max(worst, residual_between(antipode(ctx, x), standard_antipode(point, x)))
+        worst = max(worst, abs(counit(ctx, x) - standard_counit(point, x))
+                    / max(1.0, abs(counit(ctx, x))))
+    worst = max(worst, check_coloured_graded_ybe(point, 1.0, 1.0, 1.0))
+    return worst
+
+
+class Check(NamedTuple):
+    """One row of the verify report.
+
+    ``fn(draw)`` is the check's residual on one draw.  With ``sense`` "<="
+    the report keeps the largest residual and passes at or below the
+    tolerance; with ">" (a negative control) it keeps the smallest and
+    passes above it.  Each ``fn`` calls its verifier through this module's
+    global name, so a verifier rebound here at run time is the one called.
+    """
+
+    name: str
+    tolerance: float
+    paper_ref: str
+    sense: str
+    fn: Callable[[Draw], float]
+
+    def passes(self, value: float, tolerance: float) -> bool:
+        return value > tolerance if self.sense == ">" else value <= tolerance
+
+
+#: every check of ``verify``, in report order
+CHECKS = (
+    Check("group_laws", 1e-11,
+          "colour-group composition, identity, inverse and grading laws", "<=",
+          lambda d: check_group_laws(d.point, d.l1, d.l2).max_asserted),
+    Check("colour_transformations", 1e-10,
+          "coloured maps transform consistently under the colour group", "<=",
+          lambda d: verify_colour_transformations(
+              d.point, (d.lam, d.mu, d.l1, d.l2, d.alpha, d.nu), d.probes).max_residual),
+    Check("coassociativity", 1e-10, "generalized coassociativity axiom", "<=",
+          lambda d: verify_coassociativity(
+              d.point, (d.l1, d.l2, d.alpha, d.lam, d.mu, d.lam2, d.mu2, d.nu),
+              d.probes).max_residual),
+    Check("counit_axiom", 1e-10, "generalized counit axiom", "<=",
+          lambda d: verify_counit_axiom(
+              d.point, (d.alpha, d.lam, d.mu, d.lam2, d.mu2, d.nu), d.probes).max_residual),
+    Check("antipode_axiom", 1e-10, "generalized antipode axiom", "<=",
+          lambda d: verify_antipode_axiom(
+              d.point, (d.alpha, d.lam, d.mu, d.lam2, d.mu2, d.nu), d.probes).max_residual),
+    Check("bialgebra", 1e-10, "generalized bialgebra axioms with the graded twist", "<=",
+          _bialgebra_residual),
+    Check("relation_preservation", 1e-11,
+          "comultiplication and representation respect the anticommutator", "<=",
+          lambda d: max(
+              verify_relation_preservation(d.point, (d.lam, d.mu, d.nu)).max_residual,
+              check_anticommutator(d.point, d.nu))),
+    Check("reduction", 1e-11,
+          "identity colours reduce to the standard Hopf-superalgebra maps", "<=",
+          _reduction_residual),
+    Check("crossval", 1e-12, "closed-form and universal-route R-matrices agree entrywise",
+          "<=", lambda d: crossval_residual(d.point, d.l1, d.l2)),
+    Check("ybe", 1e-10, "coloured graded Yang-Baxter equation", "<=",
+          lambda d: check_coloured_graded_ybe(d.point, d.l1, d.l2, d.nu)),
+    Check("ybe_negative_control", 1e-6,
+          "a perturbed R-matrix must violate the Yang-Baxter equation", ">",
+          lambda d: check_coloured_graded_ybe(d.point, d.l1, d.l2, d.nu, perturb=0.01)),
+    Check("intertwiner", 1e-10,
+          "R-matrix intertwines the comultiplication and its graded flip", "<=",
+          lambda d: max(check_intertwiner(d.point, d.l1, d.l2, d.nu, g)
+                        for g in GENERATOR_NAMES)),
+    Check("hexagons", 1e-10, "quasitriangularity hexagon identities", "<=",
+          lambda d: max(check_hexagons(d.point, d.alpha, d.lam, d.mu, d.l1, d.l2))),
+    Check("r_inverse", 1e-12, "nilpotent closed-form inverse matches the numeric inverse",
+          "<=", lambda d: check_r_inverse(d.point, d.l1, d.l2)),
+)
+
+#: the tolerances ``run_verification`` applies, read at call time
+DEFAULT_TOLERANCES = {c.name: c.tolerance for c in CHECKS}
+
+# short statements of the identity each check verifies (report metadata)
+CHECK_REFS = {c.name: c.paper_ref for c in CHECKS}
+
+
 def run_verification(seed: int = 0, draws: int = 100,
                      tolerances: dict[str, float] | None = None,
                      guard: float = DEFAULT_GUARD) -> dict:
-    """Run every verifier over seeded draws and assemble the JSON report."""
+    """Run every check of ``CHECKS`` over seeded draws and assemble the JSON report."""
     tol = dict(DEFAULT_TOLERANCES)
     tol.update(tolerances or {})
     t0 = time.perf_counter()
 
-    samples = sample_params(seed, draws, guard)
-    rng = np.random.default_rng(seed + 1)
+    worst = [math.inf if c.sense == ">" else 0.0 for c in CHECKS]
+    for draw in _draws(seed, draws, guard):
+        for i, check in enumerate(CHECKS):
+            fold = min if check.sense == ">" else max
+            worst[i] = fold(worst[i], check.fn(draw))
 
-    stats = {name: 0.0 for name in DEFAULT_TOLERANCES}
-    neg_control_min = float("inf")
-
-    for point, (c1, c2, c3) in samples:
-        l1, l2, nu = c1.value, c2.value, c3.value
-        extra = [c.value for c in draw_colours(rng, point.q, 5, guard)]
-        alpha, lam, mu, lam2, mu2 = extra
-
-        glaws = check_group_laws(point, l1, l2)
-        stats["group_laws"] = max(stats["group_laws"], glaws.max_asserted)
-
-        probes = default_probes(point, nu, rng=rng, n_random=20)
-        stats["colour_transformations"] = max(
-            stats["colour_transformations"],
-            verify_colour_transformations(point, (lam, mu, l1, l2, alpha, nu), probes).max_residual)
-        stats["coassociativity"] = max(
-            stats["coassociativity"],
-            verify_coassociativity(point, (l1, l2, alpha, lam, mu, lam2, mu2, nu), probes).max_residual)
-        stats["counit_axiom"] = max(
-            stats["counit_axiom"],
-            verify_counit_axiom(point, (alpha, lam, mu, lam2, mu2, nu), probes).max_residual)
-        stats["antipode_axiom"] = max(
-            stats["antipode_axiom"],
-            verify_antipode_axiom(point, (alpha, lam, mu, lam2, mu2, nu), probes).max_residual)
-
-        gens = generators(Home(point, nu))
-        pairs = [(a, b) for a in gens.values() for b in gens.values()]
-        pairs.append((probes[5], probes[6]))
-        stats["bialgebra"] = max(
-            stats["bialgebra"],
-            verify_bialgebra(point, (lam, mu, nu), pairs).max_residual)
-
-        stats["relation_preservation"] = max(
-            stats["relation_preservation"],
-            verify_relation_preservation(point, (lam, mu, nu)).max_residual)
-
-        stats["reduction"] = max(stats["reduction"], _reduction_residual(point, rng))
-
-        stats["crossval"] = max(stats["crossval"], crossval_residual(point, l1, l2))
-        stats["ybe"] = max(stats["ybe"], check_coloured_graded_ybe(point, l1, l2, nu))
-        neg_control_min = min(
-            neg_control_min,
-            check_coloured_graded_ybe(point, l1, l2, nu, perturb=0.01))
-
-        stats["r_inverse"] = max(stats["r_inverse"], check_r_inverse(point, l1, l2))
-        stats["intertwiner"] = max(
-            stats["intertwiner"],
-            max(check_intertwiner(point, l1, l2, nu, g) for g in GENERATOR_NAMES))
-        stats["hexagons"] = max(
-            stats["hexagons"],
-            max(check_hexagons(point, alpha, lam, mu, l1, l2)))
-
-    stats["ybe_negative_control"] = neg_control_min
-
-    checks = []
-    for name, value in stats.items():
-        if name == "ybe_negative_control":
-            ok = value > tol[name]
-        else:
-            ok = value <= tol[name]
-        checks.append({
-            "name": name,
-            "paper_ref": CHECK_REFS[name],
-            "max_residual": value,
-            "tolerance": tol[name],
-            "pass": ok,
-        })
+    checks = [{
+        "name": c.name,
+        "paper_ref": c.paper_ref,
+        "max_residual": value,
+        "tolerance": tol[c.name],
+        "pass": c.passes(value, tol[c.name]),
+    } for c, value in zip(CHECKS, worst)]
     return {
         "suite": "colouredhopf-verify",
         "seed": seed,
@@ -220,20 +254,6 @@ def run_verification(seed: int = 0, draws: int = 100,
         "pass": all(c["pass"] for c in checks),
         "duration_ms": round(1000.0 * (time.perf_counter() - t0), 3),
     }
-
-
-def _reduction_residual(point: ParamPoint, rng: np.random.Generator) -> float:
-    """Coloured maps at identity colours against the standard structure maps."""
-    ctx = ColouredMapContext(point, 1.0, 1.0, 1.0)
-    worst = 0.0
-    probes = default_probes(point, 1.0, rng=rng, n_random=3)
-    for x in probes:
-        worst = max(worst, residual_between(coproduct(ctx, x), standard_coproduct(point, x)))
-        worst = max(worst, residual_between(antipode(ctx, x), standard_antipode(point, x)))
-        worst = max(worst, abs(counit(ctx, x) - standard_counit(point, x))
-                    / max(1.0, abs(counit(ctx, x))))
-    worst = max(worst, check_coloured_graded_ybe(point, 1.0, 1.0, 1.0))
-    return worst
 
 
 def cmd_verify(args) -> int:

@@ -378,6 +378,29 @@ def tensor_concat(*parts: AlgebraElement | TensorElement) -> TensorElement:
     return TensorElement(tuple(homes), out)
 
 
+def substitute_slot(t: TensorElement, slot: int, image
+                    ) -> dict[tuple[PBWMonomial, ...], complex]:
+    """Replace the monomial in ``slot`` of every term of t by its image.
+
+    ``image(m)`` returns a sequence of (monomial tuple, coefficient) pairs;
+    a tuple of length 0, 1 or 2 drops, maps or splits the slot.  The map
+    must be even, so no sign arises.  Each distinct slot monomial is mapped
+    once.  Returns the unpruned term map, for the caller to wrap with the
+    homes of the result.
+    """
+    images: dict[PBWMonomial, list] = {}
+    out: dict[tuple[PBWMonomial, ...], complex] = {}
+    for key, coeff in t.terms.items():
+        m = key[slot]
+        pairs = images.get(m)
+        if pairs is None:
+            pairs = images[m] = image(m)
+        for monos, c in pairs:
+            new_key = key[:slot] + monos + key[slot + 1:]
+            out[new_key] = out.get(new_key, 0j) + coeff * c
+    return out
+
+
 def tensor_unit(homes: tuple[Home, ...]) -> TensorElement:
     return TensorElement(homes, {(UNIT_MONOMIAL,) * len(homes): 1.0 + 0j})
 

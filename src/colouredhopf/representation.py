@@ -28,6 +28,7 @@ closed-form inverse are checked numerically on top.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,6 +43,9 @@ from .pbw_algebra import (
     TensorElement,
     generators,
     graded_twist,
+    psi_minus,
+    psi_plus,
+    relation_element,
     tensor_concat,
 )
 
@@ -294,6 +298,17 @@ def check_coloured_graded_ybe(p: ParamPoint, lam: Colour | complex,
     return frobenius_residual(lhs, rhs)
 
 
+def check_anticommutator(p: ParamPoint, nu: Colour | complex) -> float:
+    """The representation respects the defining anticommutator of the copy
+    with colour nu: largest entry of rep(psi+) rep(psi-) + rep(psi-) rep(psi+)
+    - rep((q_nu**(2Z) - 1)/(q_nu**2 - 1))."""
+    home = Home(p, as_colour(nu))
+    dp = rep(psi_plus(home)).entries
+    dm = rep(psi_minus(home)).entries
+    target = rep(relation_element(home)).entries
+    return float(np.abs(dp @ dm + dm @ dp - target).max())
+
+
 def check_intertwiner(p: ParamPoint, lam: Colour | complex, mu: Colour | complex,
                       nu: Colour | complex, probe: str) -> float:
     """The R-matrix conjugates the comultiplication into its graded flip."""
@@ -307,23 +322,20 @@ def check_intertwiner(p: ParamPoint, lam: Colour | complex, mu: Colour | complex
     return frobenius_residual(lhs, rhs)
 
 
-def _prefactor_8(p: ParamPoint, coef_pair: np.ndarray, coef_last: np.ndarray) -> np.ndarray:
-    """Diagonal 8x8 exponential with q-exponent (coef_pair . h terms)/2 etc.
+def _prefactor_8(p: ParamPoint, cq: tuple[complex, complex, complex],
+                 cs: tuple[complex, complex, complex]) -> np.ndarray:
+    """Diagonal 8x8 exponential q**nq s**ns on the graded tensor cube.
 
-    coef_pair/coef_last are length-2 arrays (q-part, s-part) multiplying
-    (h_i + h_j) and h_k respectively; h are the H eigenvalues +-1.
+    nq = (cq[0] h_1 + (cq[1] h_2 + cq[2] h_3))/2 and ns likewise from cs,
+    where h_k = +-1 is the H eigenvalue of the basis vector in slot k.  The
+    grouping is part of the definition: it fixes how the exponents round.
     """
     q, s = p.q, p.s
     out = np.zeros((8, 8), dtype=complex)
-    idx = 0
-    for i in (0, 1):
-        for j in (0, 1):
-            for k in (0, 1):
-                hi, hj, hk = 1 - 2 * i, 1 - 2 * j, 1 - 2 * k
-                nq = (coef_pair[0] * (hi + hj) + coef_last[0] * hk) / 2.0
-                ns = (coef_pair[1] * (hi + hj) + coef_last[1] * hk) / 2.0
-                out[idx, idx] = cpow(q, nq) * cpow(s, ns)
-                idx += 1
+    for idx, (h1, h2, h3) in enumerate(itertools.product((1, -1), repeat=3)):
+        nq = (cq[0] * h1 + (cq[1] * h2 + cq[2] * h3)) / 2.0
+        ns = (cs[0] * h1 + (cs[1] * h2 + cs[2] * h3)) / 2.0
+        out[idx, idx] = cpow(q, nq) * cpow(s, ns)
     return out
 
 
@@ -340,7 +352,7 @@ def check_hexagons(p: ParamPoint, alpha: Colour | complex, beta: Colour | comple
     eye8 = np.eye(8, dtype=complex)
 
     # first hexagon: comultiply the first leg
-    pre1 = _prefactor_8(p, np.array([gv, gv]), np.array([av + bv, -(av + bv)]))
+    pre1 = _prefactor_8(p, (gv, gv, av + bv), (gv, gv, -(av + bv)))
     du = coproduct(ColouredMapContext(p, av, bv, lv), u_left)
     sv = sigma_pair(gv, mv, v_right)
     bracket1 = eye8 + coeff * rep_tensor(tensor_concat(du, sv)).entries
@@ -350,21 +362,11 @@ def check_hexagons(p: ParamPoint, alpha: Colour | complex, beta: Colour | comple
     res1 = frobenius_residual(lhs1, rhs1)
 
     # second hexagon: comultiply the second leg
-    # exponents: ((beta+gamma) h_i +- alpha (h_j + h_k))/2 for q and s
-    out2 = np.zeros((8, 8), dtype=complex)
-    idx = 0
-    for i in (0, 1):
-        for j in (0, 1):
-            for k in (0, 1):
-                hi, hj, hk = 1 - 2 * i, 1 - 2 * j, 1 - 2 * k
-                nq = ((bv + gv) * hi + av * (hj + hk)) / 2.0
-                ns = ((bv + gv) * hi - av * (hj + hk)) / 2.0
-                out2[idx, idx] = cpow(p.q, nq) * cpow(p.s, ns)
-                idx += 1
+    pre2 = _prefactor_8(p, (bv + gv, av, av), (bv + gv, -av, -av))
     su = sigma_pair(av, lv, u_left)
     dv = coproduct(ColouredMapContext(p, bv, gv, mv), v_right)
     bracket2 = eye8 + coeff * rep_tensor(tensor_concat(su, dv)).entries
-    lhs2 = out2 @ bracket2
+    lhs2 = pre2 @ bracket2
     rhs2 = (embed(coloured_R_closed_form(p, av, gv), "13").entries
             @ embed(coloured_R_closed_form(p, av, bv), "12").entries)
     res2 = frobenius_residual(lhs2, rhs2)

@@ -1,8 +1,10 @@
 import json
+from pathlib import Path
 
 import pytest
 
 from colouredhopf.cli import (
+    CHECKS,
     DEFAULT_TOLERANCES,
     format_complex,
     main,
@@ -39,7 +41,7 @@ def test_verify_report_schema_and_exit(capsys):
     report = json.loads(capsys.readouterr().out)
     assert set(report) == {"suite", "seed", "draws", "checks", "pass", "duration_ms"}
     assert report["seed"] == 7 and report["draws"] == 3 and report["pass"] is True
-    assert {c["name"] for c in report["checks"]} == set(DEFAULT_TOLERANCES)
+    assert [c["name"] for c in report["checks"]] == [c.name for c in CHECKS]
     for check in report["checks"]:
         assert set(check) == {"name", "paper_ref", "max_residual", "tolerance", "pass"}
         assert check["pass"] is True
@@ -80,6 +82,15 @@ def test_run_verification_tolerance_override_only_affects_named_check():
     assert hexagons["tolerance"] == 2.0
     others = [c for c in report["checks"] if c["name"] != "hexagons"]
     assert all(c["tolerance"] == DEFAULT_TOLERANCES[c["name"]] for c in others)
+
+
+def test_readme_table_lists_the_checks():
+    """The README's "What gets verified" table follows CHECKS: names, order, tolerances."""
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## What gets verified", 1)[1].split("\n## ", 1)[0]
+    rows = [line.split("|") for line in section.splitlines() if line.startswith("| `")]
+    listed = [(cells[1].strip().strip("`"), float(cells[-2])) for cells in rows]
+    assert listed == [(c.name, c.tolerance) for c in CHECKS]
 
 
 def test_rmatrix_reference_values(capsys):
