@@ -42,11 +42,8 @@ def cpow(base: complex, exponent: complex) -> complex:
 
 
 def effective_q_squared(q: complex, colour: complex = 1.0) -> complex:
-    """The square of the deformation parameter of the colour-shifted copy.
-
-    Exponents are accumulated at the root base, i.e. the copy with colour
-    ``c`` has squared parameter q**(2c) under one global branch choice.
-    """
+    """The square q**(2c) of the deformation parameter of the copy with
+    colour ``c``, under one global branch choice."""
     return cpow(q, 2.0 * complex(colour))
 
 

@@ -3,7 +3,9 @@
 The map with colour ``nu`` fixes H, scales Z by nu, rescales the odd
 generators by the colour normalisation, and replaces the copy's deformation
 parameter q_c by q_c**nu (s is untouched).  Composition of colours is
-complex multiplication, so the group is GL(1, C).
+complex multiplication, so the group is GL(1, C).  Exponents are in units
+of the home colour, so every map keeps each monomial and only rescales its
+coefficient.
 
 Branch policy: the normalisation of a map applied to the copy with colour c
 is the single principal square root ((q**(2 c nu) - 1)/(q**(2c) - 1))**(1/2),
@@ -54,27 +56,24 @@ def _local_scale(q: complex, source_colour: complex, factor: complex) -> complex
     return cpow(num / denom, 0.5)
 
 
-def _scaled_term(m: PBWMonomial, coeff: complex, z_scale: complex, odd_scale: complex,
-                 exp_scale: complex) -> tuple[PBWMonomial, complex]:
-    """Image of the term ``coeff * m`` under an even map that scales Z, the
-    odd generators and the exponents."""
+def _scaled_term(m: PBWMonomial, coeff: complex, z_scale: complex,
+                 odd_scale: complex) -> complex:
+    """Coefficient of the term ``coeff * m`` under an even map that scales Z
+    and the odd generators.  The image is a multiple of m itself, because
+    exponents are in units of the home colour and the map moves that colour
+    with the element."""
     if m.z_deg:
         coeff *= z_scale ** m.z_deg
     n_odd = m.plus + m.minus
     if n_odd:
         coeff *= odd_scale ** n_odd
-    key = PBWMonomial(m.z_deg, m.h_deg, m.q_exp * exp_scale,
-                      m.s_exp * exp_scale, m.plus, m.minus)
-    return key, coeff
+    return coeff
 
 
 def _map_monomials(x: AlgebraElement, z_scale: complex, odd_scale: complex,
-                   exp_scale: complex, new_home: Home) -> AlgebraElement:
-    out: dict[PBWMonomial, complex] = {}
-    for m, c in x.terms.items():
-        key, coeff = _scaled_term(m, c, z_scale, odd_scale, exp_scale)
-        out[key] = out.get(key, 0j) + coeff
-    return AlgebraElement(new_home, out)
+                   new_home: Home) -> AlgebraElement:
+    return AlgebraElement(new_home, {m: _scaled_term(m, c, z_scale, odd_scale)
+                                     for m, c in x.terms.items()})
 
 
 def sigma(nu: Colour | complex, x: AlgebraElement) -> AlgebraElement:
@@ -82,7 +81,7 @@ def sigma(nu: Colour | complex, x: AlgebraElement) -> AlgebraElement:
     nu_val = as_colour(nu)
     home = x.home
     scale = _local_scale(home.point.q, home.colour, nu_val)
-    return _map_monomials(x, nu_val, scale, nu_val, home.shifted(nu_val))
+    return _map_monomials(x, nu_val, scale, home.shifted(nu_val))
 
 
 def sigma_inverse(nu: Colour | complex, x: AlgebraElement) -> AlgebraElement:
@@ -92,13 +91,13 @@ def sigma_inverse(nu: Colour | complex, x: AlgebraElement) -> AlgebraElement:
     source_colour = home.colour / nu_val
     scale = _local_scale(home.point.q, source_colour, nu_val)
     inv_nu = 1.0 / nu_val
-    return _map_monomials(x, inv_nu, 1.0 / scale, inv_nu, home.shifted(inv_nu))
+    return _map_monomials(x, inv_nu, 1.0 / scale, home.shifted(inv_nu))
 
 
 def _pair_scales(lam: Colour | complex, mu: Colour | complex,
                  home: Home) -> tuple[complex, complex, Home]:
-    """Z/exponent ratio, odd scale and target home of the composite map from
-    the copy with colour mu to the one with colour lam, applied on ``home``."""
+    """Z ratio, odd scale and target home of the composite map from the copy
+    with colour mu to the one with colour lam, applied on ``home``."""
     lam_val = as_colour(lam)
     mu_val = as_colour(mu)
     if abs(home.colour - mu_val) > 1e-9 * max(1.0, abs(mu_val)):
@@ -117,7 +116,7 @@ def sigma_pair(lam: Colour | complex, mu: Colour | complex,
     """The composite map from the copy with colour mu to the one with colour
     lam, routed through the root copy (ratio of root normalisations)."""
     ratio, odd, target = _pair_scales(lam, mu, x.home)
-    return _map_monomials(x, ratio, odd, ratio, target)
+    return _map_monomials(x, ratio, odd, target)
 
 
 def sigma_pair_slot(lam: Colour | complex, mu: Colour | complex,
@@ -127,12 +126,8 @@ def sigma_pair_slot(lam: Colour | complex, mu: Colour | complex,
     The map is even, so no sign arises and the tensor order is kept.
     """
     ratio, odd, target = _pair_scales(lam, mu, t.homes[slot])
-
-    def image(m):
-        mono, factor = _scaled_term(m, 1.0 + 0j, ratio, odd, ratio)
-        return (((mono,), factor),)
-
-    out = substitute_slot(t, slot, image)
+    out = substitute_slot(
+        t, slot, lambda m: (((m,), _scaled_term(m, 1.0 + 0j, ratio, odd)),))
     return TensorElement(t.homes[:slot] + (target,) + t.homes[slot + 1:], out)
 
 
@@ -169,9 +164,10 @@ class GroupLawReport:
                    self.inverse_exact, self.grading, self.isomorphism)
 
 
-def check_group_laws(p: ParamPoint, nu: Colour | complex, nu2: Colour | complex,
-                     probes: list[AlgebraElement] | None = None) -> GroupLawReport:
-    """Measure composition, identity, inverse and grading compatibility.
+def check_group_laws(p: ParamPoint, nu: Colour | complex,
+                     nu2: Colour | complex) -> GroupLawReport:
+    """Measure composition, identity, inverse and grading compatibility on
+    seven root-copy probes.
 
     ``nu2 o nu`` composes as the complex product; grading compatibility is
     the requirement that the maps commute with the grading automorphism.
@@ -180,9 +176,8 @@ def check_group_laws(p: ParamPoint, nu: Colour | complex, nu2: Colour | complex,
     nu2_val = as_colour(nu2)
     home = Home(p)
     gens = generators(home)
-    if probes is None:
-        probes = [unit(home), *gens.values(), multiply(gens["psi+"], gens["psi-"]),
-                  gens["H"] + 0.5 * gens["psi-"]]
+    probes = [unit(home), *gens.values(), multiply(gens["psi+"], gens["psi-"]),
+              gens["H"] + 0.5 * gens["psi-"]]
 
     comp_signed = comp = ident = inv_signed = inv = inv_exact = grad = iso = 0.0
     for x in probes:

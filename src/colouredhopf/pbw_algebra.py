@@ -8,13 +8,16 @@ subject to
 
 A basis word is Z**a H**b q**(alpha Z) s**(beta Z) (psi+)**eps (psi-)**delta
 with eps, delta in {0, 1}.  The exponential factors are first-class monomial
-data (complex exponents relative to the root parameters q, s), which keeps
-the anticommutator target and all colour-map images inside the basis.
+data, which keeps the anticommutator target and all colour-map images inside
+the basis.
 
 Elements carry a home tag: the root parameter point together with the colour
 of the copy they live in.  The copy with colour c has effective squared
-deformation parameter q**(2c), with exponents always accumulated at the root
-base so that colour composition acts multiplicatively on monomial data.
+deformation parameter q**(2c), and its exponents are in units of c:
+q**(alpha Z) s**(beta Z) on that copy stands for q**(c alpha Z) s**(c beta Z)
+at the root.  So the colour maps and the coloured comultiplication and
+counit keep exponents as they are, the antipode negates them, and only the
+representation evaluates the unit.
 """
 
 from __future__ import annotations
@@ -87,7 +90,8 @@ class Home:
 
     ``point`` is the root parameter point and ``colour`` the accumulated
     colour of the copy, so the copy's nominal deformation parameter is
-    q**colour (while s is shared by all copies).
+    q**colour (while s is shared by all copies).  Exponents of the copy's
+    monomials are in units of the colour (see the module docstring).
     """
 
     point: ParamPoint
@@ -194,16 +198,12 @@ def generators(home: Home) -> dict[str, AlgebraElement]:
 
 def relation_element(home: Home) -> AlgebraElement:
     """The anticommutator target (q_c**(2Z) - 1) / (q_c**2 - 1) of the copy."""
-    eff = home.effective_q_squared()
-    inv = 1.0 / (eff - 1.0)
-    two_c = 2.0 * home.colour
-    return AlgebraElement(home, {
-        PBWMonomial(0, 0, two_c, 0j, 0, 0): inv,
-        UNIT_MONOMIAL: -inv,
-    })
+    inv = 1.0 / (home.effective_q_squared() - 1.0)
+    return AlgebraElement(home, {PBWMonomial(0, 0, 2.0 + 0j, 0j, 0, 0): inv,
+                                 UNIT_MONOMIAL: -inv})
 
 
-def _mono_mul(m1: PBWMonomial, m2: PBWMonomial, two_colour: complex,
+def _mono_mul(m1: PBWMonomial, m2: PBWMonomial,
               inv_denom: complex | None) -> list[tuple[PBWMonomial, complex]]:
     """Straighten the concatenation of two basis words into normal form.
 
@@ -229,7 +229,7 @@ def _mono_mul(m1: PBWMonomial, m2: PBWMonomial, two_colour: complex,
             raise SingularParameterError(
                 "multiply: anticommutator rewrite needs |q**(2c) - 1| bounded away from 0"
             )
-        psi_terms = [(e1, d2, two_colour, inv_denom), (e1, d2, 0j, -inv_denom)]
+        psi_terms = [(e1, d2, 2.0 + 0j, inv_denom), (e1, d2, 0j, -inv_denom)]
         if e1 == 0 and d2 == 0:
             psi_terms.append((1, 1, 0j, -1.0 + 0j))
 
@@ -255,21 +255,20 @@ def _mono_mul(m1: PBWMonomial, m2: PBWMonomial, two_colour: complex,
 
 
 @lru_cache(maxsize=4096)
-def _home_mul_data(home: Home) -> tuple[complex, complex | None]:
-    eff = home.effective_q_squared()
-    denom = eff - 1.0
-    inv = None if abs(denom) < _MULTIPLY_FLOOR else 1.0 / denom
-    return 2.0 * home.colour, inv
+def _home_mul_data(home: Home) -> complex | None:
+    """1/(q**(2c) - 1) of the copy, or None when it is too singular."""
+    denom = home.effective_q_squared() - 1.0
+    return None if abs(denom) < _MULTIPLY_FLOOR else 1.0 / denom
 
 
 def _mul_terms(xs: dict[PBWMonomial, complex], ys: dict[PBWMonomial, complex],
-               two_colour: complex, inv_denom: complex | None) -> dict[PBWMonomial, complex]:
+               inv_denom: complex | None) -> dict[PBWMonomial, complex]:
     """Product of two term maps of one copy (``_home_mul_data``), unpruned."""
     acc: dict[PBWMonomial, complex] = {}
     for m1, c1 in xs.items():
         for m2, c2 in ys.items():
             c12 = c1 * c2
-            for mono, coeff in _mono_mul(m1, m2, two_colour, inv_denom):
+            for mono, coeff in _mono_mul(m1, m2, inv_denom):
                 acc[mono] = acc.get(mono, 0j) + c12 * coeff
     return acc
 
@@ -277,7 +276,7 @@ def _mul_terms(xs: dict[PBWMonomial, complex], ys: dict[PBWMonomial, complex],
 def multiply(x: AlgebraElement, y: AlgebraElement) -> AlgebraElement:
     """Product in the home copy, straightened to PBW normal form."""
     _require_same_home(x.home, y.home, "multiply")
-    return AlgebraElement(x.home, _mul_terms(x.terms, y.terms, *_home_mul_data(x.home)))
+    return AlgebraElement(x.home, _mul_terms(x.terms, y.terms, _home_mul_data(x.home)))
 
 
 def grading_automorphism(x: AlgebraElement) -> AlgebraElement:
@@ -408,7 +407,7 @@ def tensor_unit(homes: tuple[Home, ...]) -> TensorElement:
 def tensor_multiply(u: TensorElement, v: TensorElement) -> TensorElement:
     """Graded product; odd factors crossing odd factors contribute -1."""
     u._check_compatible(v, "tensor_multiply")
-    slot_data = [_home_mul_data(h) for h in u.homes]
+    slot_inv = [_home_mul_data(h) for h in u.homes]
     acc: dict[tuple[PBWMonomial, ...], complex] = {}
     for mk, cu in u.terms.items():
         for nk, cv in v.terms.items():
@@ -422,7 +421,7 @@ def tensor_multiply(u: TensorElement, v: TensorElement) -> TensorElement:
                 )
             coeff = cu * cv * (-1.0 if sign_exp & 1 else 1.0)
             slot_products = [
-                _mono_mul(m, n, *slot_data[i]) for i, (m, n) in enumerate(zip(mk, nk))
+                _mono_mul(m, n, slot_inv[i]) for i, (m, n) in enumerate(zip(mk, nk))
             ]
             for combo in itertools.product(*slot_products):
                 key = tuple(m for m, _ in combo)

@@ -19,7 +19,9 @@ factorised universal expression
         * (1 ox 1 - (q**2 - 1) a_lam a_mu
            (s**(-lam Z/2) psi+) ox (s**(-mu Z/2) q**(-mu Z) psi-)),
 
-with the off-diagonal coefficient written as (q**2 - 1) a_lam a_mu so both
+with exponents written at the root (on their own copies the two bracket
+factors are s**(-Z/2) psi+ and s**(-Z/2) q**(-Z) psi-), and with the
+off-diagonal coefficient written as (q**2 - 1) a_lam a_mu so both
 routes share one branch choice.  Their agreement is the cross-validation
 oracle; the coloured graded Yang-Baxter equation, the intertwining property
 of the comultiplication, the hexagon identities and the nilpotent
@@ -85,12 +87,17 @@ def frobenius_residual(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.linalg.norm(a - b) / max(1.0, np.linalg.norm(a)))
 
 
-def _mono_matrix(m: PBWMonomial, q: complex, s: complex) -> np.ndarray:
+def _mono_matrix(m: PBWMonomial, q: complex, s: complex, c: complex) -> np.ndarray:
+    """Matrix of the basis word m on the copy with colour c.
+
+    This is the one place that evaluates the exponent unit: q**(e Z) on that
+    copy is q**(c e Z) at the root, and D(Z) = I.
+    """
     scalar = 1.0 + 0j
     if m.q_exp != 0:
-        scalar *= cpow(q, m.q_exp)
+        scalar *= cpow(q, c * m.q_exp)
     if m.s_exp != 0:
-        scalar *= cpow(s, m.s_exp)
+        scalar *= cpow(s, c * m.s_exp)
     mat = _PSI_MATS[(m.plus, m.minus)]
     if m.h_deg & 1:
         mat = mat.copy()
@@ -100,10 +107,10 @@ def _mono_matrix(m: PBWMonomial, q: complex, s: complex) -> np.ndarray:
 
 def rep(x: AlgebraElement) -> GradedMatrix:
     """Represent an element on the graded two-dimensional module."""
-    q, s = x.home.point.q, x.home.point.s
+    q, s, c = x.home.point.q, x.home.point.s, x.home.colour
     out = np.zeros((2, 2), dtype=complex)
     for m, coeff in x.terms.items():
-        out += coeff * _mono_matrix(m, q, s)
+        out += coeff * _mono_matrix(m, q, s, c)
     return GradedMatrix(out, PARITIES_2)
 
 
@@ -118,7 +125,7 @@ def rep_tensor(u: TensorElement) -> GradedMatrix:
     dim = 2 ** u.order
     out = np.zeros((dim, dim), dtype=complex)
     for key, coeff in u.terms.items():
-        mats = [_mono_matrix(m, q, s) for m in key]
+        mats = [_mono_matrix(m, q, s, h.colour) for m, h in zip(key, u.homes)]
         kron = np.kron(mats[0], mats[1])
         if u.order == 3:
             kron = np.kron(kron, mats[2])
@@ -194,9 +201,9 @@ def r_bracket_factors(p: ParamPoint, lam: complex, mu: complex
     q = p.q
     coeff = -(q * q - 1.0) * colour_norm(q, lam) * colour_norm(q, mu)
     left = AlgebraElement(Home(p, lam),
-                          {PBWMonomial(0, 0, 0j, -lam / 2.0, 1, 0): 1.0 + 0j})
+                          {PBWMonomial(0, 0, 0j, -0.5 + 0j, 1, 0): 1.0 + 0j})
     right = AlgebraElement(Home(p, mu),
-                           {PBWMonomial(0, 0, -mu, -mu / 2.0, 0, 1): 1.0 + 0j})
+                           {PBWMonomial(0, 0, -1.0 + 0j, -0.5 + 0j, 0, 1): 1.0 + 0j})
     return coeff, left, right
 
 
@@ -310,16 +317,19 @@ def check_anticommutator(p: ParamPoint, nu: Colour | complex) -> float:
 
 
 def check_intertwiner(p: ParamPoint, lam: Colour | complex, mu: Colour | complex,
-                      nu: Colour | complex, probe: str) -> float:
-    """The R-matrix conjugates the comultiplication into its graded flip."""
+                      nu: Colour | complex) -> float:
+    """The R-matrix conjugates the comultiplication into its graded flip:
+    the largest residual over the four generators at colour nu."""
     lv, mv, nv = as_colour(lam), as_colour(mu), as_colour(nu)
-    x = generators(Home(p, nv))[probe]
-    flipped = graded_twist(coproduct(ColouredMapContext(p, mv, lv, nv), x))
-    lhs = rep_tensor(flipped).entries
     fac = r_factorisation(p, lv, mv)
-    dmat = rep_tensor(coproduct(ColouredMapContext(p, lv, mv, nv), x)).entries
-    rhs = fac.matrix().entries @ dmat @ fac.inverse_matrix().entries
-    return frobenius_residual(lhs, rhs)
+    r_mat, r_inv = fac.matrix().entries, fac.inverse_matrix().entries
+    flip_ctx, ctx = ColouredMapContext(p, mv, lv, nv), ColouredMapContext(p, lv, mv, nv)
+    worst = 0.0
+    for x in generators(Home(p, nv)).values():
+        lhs = rep_tensor(graded_twist(coproduct(flip_ctx, x))).entries
+        rhs = r_mat @ rep_tensor(coproduct(ctx, x)).entries @ r_inv
+        worst = max(worst, frobenius_residual(lhs, rhs))
+    return worst
 
 
 def _prefactor_8(p: ParamPoint, cq: tuple[complex, complex, complex],

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from colouredhopf.coefficients import ParamPoint, colour_norm, sample_params
+from colouredhopf.coloured_hopf import ColouredMapContext, coproduct
 from colouredhopf.colour_group import (
     check_group_laws,
     sigma,
@@ -12,7 +13,9 @@ from colouredhopf.colour_group import (
     sigma_pair_slot,
 )
 from colouredhopf.pbw_algebra import (
+    AlgebraElement,
     Home,
+    PBWMonomial,
     equal_upto_tol,
     generators,
     grading_automorphism,
@@ -166,3 +169,20 @@ def test_sigma_pair_slot_matches_sigma_pair_on_each_slot():
         assert residual_between(out, tensor_concat(left, mid, right)) == 0.0
     with pytest.raises(ValueError):
         sigma_pair_slot(1.3, mu, t, 1)  # slot 1 lives at colour 1, not mu
+
+
+def test_colour_maps_keep_monomial_keys():
+    """Exponents are in units of the home colour, so two routes through the
+    colour maps reach each monomial under one key, not float-noise variants."""
+    rng = np.random.default_rng(131)
+    for point, colours in sample_params(137, 10, colours_per_draw=5):
+        lam, mu, nu, alpha, beta = (c.value for c in colours)
+        x = AlgebraElement(Home(point, nu), {
+            PBWMonomial(z, h, complex(*rng.normal(0, 0.5, 2)), complex(*rng.normal(0, 0.5, 2)),
+                        e, d): complex(*rng.normal(size=2))
+            for z, h, e, d in ((0, 0, 0, 0), (1, 0, 1, 0), (0, 2, 0, 1), (1, 1, 1, 1))})
+        via = sigma_pair(lam, mu, sigma_pair(mu, nu, x))
+        assert set(via.terms) == set(sigma_pair(lam, nu, x).terms)
+        inner = coproduct(ColouredMapContext(point, alpha, beta, nu), x)
+        lhs = sigma_pair_slot(mu, beta, sigma_pair_slot(lam, alpha, inner, 0), 1)
+        assert set(lhs.terms) == set(coproduct(ColouredMapContext(point, lam, mu, nu), x).terms)

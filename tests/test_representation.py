@@ -67,6 +67,16 @@ def test_rep_of_exponential_factor():
     assert np.allclose(rep(elem).entries, (P.q ** 2) * np.eye(2))
 
 
+def test_rep_evaluates_exponents_in_units_of_the_home_colour():
+    # q^(e Z) and s^(f Z) on the copy with colour c represent as q^(c e) I and s^(c f) I
+    e, f = 0.7 - 0.3j, -0.4 + 0.9j
+    for c in (1.0 + 0j, 2.0 + 0j, 1.3 + 0.4j):
+        for mono, scalar in ((PBWMonomial(0, 0, e, 0j, 0, 0), cpow(PC.q, c * e)),
+                             (PBWMonomial(0, 0, 0j, f, 0, 0), cpow(PC.s, c * f))):
+            mat = rep(AlgebraElement(Home(PC, c), {mono: 1.0})).entries
+            assert np.array_equal(mat, scalar * np.eye(2))
+
+
 def test_rep_tensor_even_operator():
     u = tensor_concat(h_gen(HOME), unit(HOME))
     assert np.allclose(rep_tensor(u).entries, np.diag([1.0, 1.0, -1.0, -1.0]))
@@ -199,14 +209,14 @@ def test_ybe_negative_control():
 
 
 def test_intertwiner_symmetric_colours_on_z():
+    # Z among the four generators check_intertwiner takes at colour nu
     lam = 1.2 + 0.4j
-    assert check_intertwiner(PC, lam, lam, 0.9 - 0.1j, "Z") <= 1e-12
+    assert check_intertwiner(PC, lam, lam, 0.9 - 0.1j) <= 1e-12
 
 
 def test_intertwiner_all_generators():
     for point, (c1, c2, c3) in sample_params(101, 50):
-        for g in ("H", "Z", "psi+", "psi-"):
-            assert check_intertwiner(point, c1.value, c2.value, c3.value, g) <= 1e-10
+        assert check_intertwiner(point, c1.value, c2.value, c3.value) <= 1e-10
 
 
 def test_intertwiner_requires_graded_action():
