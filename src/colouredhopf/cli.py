@@ -34,7 +34,8 @@ from .coloured_hopf import (
     ColouredMapContext,
     coproduct,
     antipode,
-    default_probes,
+    basis_probes,
+    random_probe,
     standard_antipode,
     standard_coproduct,
     verify_antipode_axiom,
@@ -110,27 +111,36 @@ class Draw(NamedTuple):
     mu: complex
     lam2: complex
     mu2: complex
-    probes: list[AlgebraElement]  # unit, generators and 20 random probes at colour nu
-    reduction_probes: list[AlgebraElement]  # unit, generators and 3 random probes at colour 1
+    probes: list[AlgebraElement]  # the 26 basis words of degree <= 2 at colour nu
+    reduction_probes: list[AlgebraElement]  # the same 26 words at colour 1
+    pair: tuple[AlgebraElement, AlgebraElement]  # two random probes at colour nu
 
 
 def _draws(seed: int, draws: int, guard: float) -> Iterator[Draw]:
     """The verify draws: (point, l1, l2, nu) from ``sample_params``, then five
-    more colours, the probes and the reduction probes from one second stream."""
+    more colours, the labels of the probes and of the reduction probes, and
+    the random pair, from one second stream."""
     rng = np.random.default_rng(seed + 1)
     for index, (point, (c1, c2, c3)) in enumerate(sample_params(seed, draws, guard)):
         alpha, lam, mu, lam2, mu2 = (c.value for c in draw_colours(rng, point.q, 5, guard))
-        probes = default_probes(point, c3.value, rng=rng, n_random=20)
-        reduction_probes = default_probes(point, 1.0, rng=rng, n_random=3)
+        probes = basis_probes(point, c3.value, rng)
+        reduction_probes = basis_probes(point, 1.0, rng)
+        home = Home(point, c3.value)
+        pair = (random_probe(rng, home), random_probe(rng, home))
         yield Draw(index, point, c1.value, c2.value, c3.value, alpha, lam, mu, lam2, mu2,
-                   probes, reduction_probes)
+                   probes, reduction_probes, pair)
 
 
 def _bialgebra_residual(d: Draw) -> float:
-    """All 16 ordered generator pairs, plus one pair of random probes."""
+    """All 16 ordered generator pairs, plus the draw's random pair.
+
+    The axiom is bilinear, so a basis of pairs would take 26 x 26 products;
+    the generator pairs cover degree 1 exhaustively and the random pair
+    samples the rest.
+    """
     gens = generators(Home(d.point, d.nu))
     pairs = [(a, b) for a in gens.values() for b in gens.values()]
-    pairs.append((d.probes[5], d.probes[6]))
+    pairs.append(d.pair)
     return verify_bialgebra(d.point, (d.lam, d.mu, d.nu), pairs).max_residual
 
 

@@ -339,28 +339,40 @@ _DEGREE2_SHAPES = [
 ]
 
 
-def random_probe(rng: np.random.Generator, home: Home, n_terms: int = 3) -> AlgebraElement:
-    """A random element of degree <= 2, possibly with exponential factors."""
+def _random_label(rng: np.random.Generator) -> tuple[complex, complex]:
+    """A generic exponential label (q_exp, s_exp): complex normal(0, 0.5) parts."""
+    qe = complex(rng.normal(0, 0.5), rng.normal(0, 0.5))
+    se = complex(rng.normal(0, 0.5), rng.normal(0, 0.5))
+    return qe, se
+
+
+def random_probe(rng: np.random.Generator, home: Home) -> AlgebraElement:
+    """A sum of three random terms of degree <= 2, possibly with exponential factors."""
     terms: dict[PBWMonomial, complex] = {}
-    for _ in range(n_terms):
+    for _ in range(3):
         z, h, e, d = _DEGREE2_SHAPES[rng.integers(0, len(_DEGREE2_SHAPES))]
-        if rng.random() < 0.5:
-            qe = complex(rng.normal(0, 0.5), rng.normal(0, 0.5))
-            se = complex(rng.normal(0, 0.5), rng.normal(0, 0.5))
-        else:
-            qe = se = 0j
+        qe, se = _random_label(rng) if rng.random() < 0.5 else (0j, 0j)
         mono = PBWMonomial(z, h, qe, se, e, d)
         coeff = complex(rng.normal(), rng.normal())
         terms[mono] = terms.get(mono, 0j) + coeff
     return AlgebraElement(home, terms)
 
 
-def default_probes(p: ParamPoint, nu: complex, rng: np.random.Generator,
-                   n_random: int = 20) -> list[AlgebraElement]:
-    """Four generators, the unit, and random degree-<=2 elements at colour nu."""
+def basis_probes(p: ParamPoint, nu: complex, rng: np.random.Generator) -> list[AlgebraElement]:
+    """Every basis word of degree <= 2 at colour nu, once bare and once labelled.
+
+    The unit and each of ``_DEGREE2_SHAPES`` appear as ``Z^a H^b (psi+)^e
+    (psi-)^d`` and as the same word times ``q^(alpha Z) s^(beta Z)``, with a
+    fresh random label (alpha, beta) per word.  The probe verifiers are
+    linear and the symbolic layer treats exponents as labels, so an identity
+    that holds on these words holds on every element of degree <= 2.
+    """
     home = Home(p, as_colour(nu))
-    probes = [unit(home)] + list(generators(home).values())
-    probes.extend(random_probe(rng, home) for _ in range(n_random))
+    probes = []
+    for z, h, e, d in [(0, 0, 0, 0), *_DEGREE2_SHAPES]:
+        probes.append(AlgebraElement(home, {PBWMonomial(z, h, 0j, 0j, e, d): 1.0 + 0j}))
+        qe, se = _random_label(rng)
+        probes.append(AlgebraElement(home, {PBWMonomial(z, h, qe, se, e, d): 1.0 + 0j}))
     return probes
 
 
