@@ -121,13 +121,13 @@ def _draws(seed: int, draws: int, guard: float) -> Iterator[Draw]:
     more colours, the labels of the probes and of the reduction probes, and
     the random pair, from one second stream."""
     rng = np.random.default_rng(seed + 1)
-    for index, (point, (c1, c2, c3)) in enumerate(sample_params(seed, draws, guard)):
-        alpha, lam, mu, lam2, mu2 = (c.value for c in draw_colours(rng, point.q, 5, guard))
-        probes = basis_probes(point, c3.value, rng)
+    for index, (point, (l1, l2, nu)) in enumerate(sample_params(seed, draws, guard)):
+        alpha, lam, mu, lam2, mu2 = draw_colours(rng, point.q, 5, guard)
+        probes = basis_probes(point, nu, rng)
         reduction_probes = basis_probes(point, 1.0, rng)
-        home = Home(point, c3.value)
+        home = Home(point, nu)
         pair = (random_probe(rng, home), random_probe(rng, home))
-        yield Draw(index, point, c1.value, c2.value, c3.value, alpha, lam, mu, lam2, mu2,
+        yield Draw(index, point, l1, l2, nu, alpha, lam, mu, lam2, mu2,
                    probes, reduction_probes, pair)
 
 
@@ -286,7 +286,7 @@ def cmd_verify(args) -> int:
 def cmd_rmatrix(args) -> int:
     try:
         point = ParamPoint(args.q, args.s, args.guard)
-        matrix = coloured_R_closed_form(point, args.lam, args.mu).entries
+        matrix = coloured_R_closed_form(point, args.lam, args.mu)
         agreement = crossval_residual(point, args.lam, args.mu)
     except (SingularParameterError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

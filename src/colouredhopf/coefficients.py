@@ -2,8 +2,9 @@
 
 Every fractional power taken anywhere in the package is routed through
 :func:`cpow`, so a single principal-branch convention governs all modules.
-The deformation parameters live on ``ParamPoint`` and the colour parameters
-on ``Colour``; both are immutable value objects.
+The deformation parameters live on the immutable ``ParamPoint``.  A colour
+is a plain nonzero complex number, an element of GL(1, C); :func:`as_colour`
+is the one place that coerces and validates it.
 """
 
 from __future__ import annotations
@@ -16,6 +17,9 @@ import numpy as np
 
 #: default lower bound on |q**2 - 1|; the defining anticommutator divides by it
 DEFAULT_GUARD = 0.1
+
+#: hard floor on |q**(2c) - 1| below which a copy's divisions are refused
+SINGULAR_FLOOR = 1e-9
 
 #: coefficients with modulus at or below this are dropped from element maps
 PRUNE_TOL = 1e-14
@@ -48,23 +52,24 @@ def effective_q_squared(q: complex, colour: complex = 1.0) -> complex:
 
 
 @lru_cache(maxsize=4096)
-def _colour_norm_cached(q: complex, nu: complex) -> complex:
+def _colour_norm_cached(q: complex, nu: complex, guard: float) -> complex:
     denom = effective_q_squared(q) - 1.0
-    if abs(denom) < DEFAULT_GUARD:
+    if abs(denom) < guard:
         raise SingularParameterError(
-            f"colour_norm: |q**2 - 1| = {abs(denom):.3g} below guard {DEFAULT_GUARD}"
+            f"colour_norm: |q**2 - 1| = {abs(denom):.3g} below guard {guard}"
         )
     return cpow((effective_q_squared(q, nu) - 1.0) / denom, 0.5)
 
 
-def colour_norm(q: complex, nu: "Colour | complex") -> complex:
+def colour_norm(q: complex, nu: complex, guard: float = DEFAULT_GUARD) -> complex:
     """Normalisation ((q**(2 nu) - 1) / (q**2 - 1))**(1/2), principal branch.
 
     This is the factor by which the odd generators rescale under the colour
     map with parameter ``nu``.  Raises :class:`SingularParameterError` when
-    q**2 is too close to 1 for the quotient to be well conditioned.
+    |q**2 - 1| is below ``guard``; callers serving a ``ParamPoint`` pass its
+    guard.
     """
-    return _colour_norm_cached(complex(q), as_colour(nu))
+    return _colour_norm_cached(complex(q), as_colour(nu), guard)
 
 
 @dataclass(frozen=True)
@@ -73,8 +78,8 @@ class ParamPoint:
 
     Both parameters are nonzero complex numbers and q must keep its distance
     from the q**2 == 1 singularity (the defining relations divide by
-    q**2 - 1).  The guard is carried along so colour-shifted copies can be
-    validated against the same threshold.
+    q**2 - 1).  The guard is carried along so every colour normalisation
+    taken at this point is validated against the same threshold.
     """
 
     q: complex
@@ -94,23 +99,8 @@ class ParamPoint:
         object.__setattr__(self, "s", s)
 
 
-@dataclass(frozen=True)
-class Colour:
-    """A colour parameter: a nonzero complex number."""
-
-    value: complex
-
-    def __post_init__(self):
-        v = complex(self.value)
-        if v == 0:
-            raise ValueError("Colour: value must be nonzero")
-        object.__setattr__(self, "value", v)
-
-
-def as_colour(nu: Colour | complex) -> complex:
+def as_colour(nu: complex) -> complex:
     """Coerce a colour argument to a validated nonzero complex number."""
-    if isinstance(nu, Colour):
-        return nu.value
     v = complex(nu)
     if v == 0:
         raise ValueError("colour value must be nonzero")
@@ -128,7 +118,7 @@ def draw_colours(
     q: complex,
     count: int,
     guard: float = DEFAULT_GUARD,
-) -> tuple[Colour, ...]:
+) -> tuple[complex, ...]:
     """Draw admissible colours: the shifted copy q**(2c) must avoid 1.
 
     Operations inside the copy with colour ``c`` divide by q**(2c) - 1, so
@@ -137,9 +127,9 @@ def draw_colours(
     all fail the guard.
     """
     return tuple(
-        Colour(_draw_admissible(
+        _draw_admissible(
             rng, lambda c: abs(effective_q_squared(q, c) - 1.0) >= guard,
-            f"colour with |q**(2c) - 1| >= {guard}"))
+            f"colour with |q**(2c) - 1| >= {guard}")
         for _ in range(count)
     )
 
@@ -158,7 +148,7 @@ def sample_params(
     count: int,
     guard: float = DEFAULT_GUARD,
     colours_per_draw: int = 3,
-) -> list[tuple[ParamPoint, tuple[Colour, ...]]]:
+) -> list[tuple[ParamPoint, tuple[complex, ...]]]:
     """Deterministic admissible draws of (q, s) points and colour tuples.
 
     Moduli of q, s and of the colours are uniform in [0.5, 2] with uniform

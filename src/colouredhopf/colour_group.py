@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .coefficients import (
-    Colour,
+    SINGULAR_FLOOR,
     ParamPoint,
     SingularParameterError,
     as_colour,
@@ -41,14 +41,12 @@ from .pbw_algebra import (
     unit,
 )
 
-_A_RATIO_FLOOR = 1e-9
-
 
 def _local_scale(q: complex, source_colour: complex, factor: complex) -> complex:
     """Odd-generator scale of the colour map with ``factor`` out of the copy
     with colour ``source_colour`` (one principal square root)."""
     denom = effective_q_squared(q, source_colour) - 1.0
-    if abs(denom) < _A_RATIO_FLOOR:
+    if abs(denom) < SINGULAR_FLOOR:
         raise SingularParameterError(
             "colour map: source copy too close to the q**2 == 1 singularity"
         )
@@ -76,7 +74,7 @@ def _map_monomials(x: AlgebraElement, z_scale: complex, odd_scale: complex,
                                      for m, c in x.terms.items()})
 
 
-def sigma(nu: Colour | complex, x: AlgebraElement) -> AlgebraElement:
+def sigma(nu: complex, x: AlgebraElement) -> AlgebraElement:
     """Apply the colour map with parameter nu to an element of its home copy."""
     nu_val = as_colour(nu)
     home = x.home
@@ -84,7 +82,7 @@ def sigma(nu: Colour | complex, x: AlgebraElement) -> AlgebraElement:
     return _map_monomials(x, nu_val, scale, home.shifted(nu_val))
 
 
-def sigma_inverse(nu: Colour | complex, x: AlgebraElement) -> AlgebraElement:
+def sigma_inverse(nu: complex, x: AlgebraElement) -> AlgebraElement:
     """The exact inverse of ``sigma(nu, .)`` landing on x's home."""
     nu_val = as_colour(nu)
     home = x.home
@@ -94,8 +92,7 @@ def sigma_inverse(nu: Colour | complex, x: AlgebraElement) -> AlgebraElement:
     return _map_monomials(x, inv_nu, 1.0 / scale, home.shifted(inv_nu))
 
 
-def _pair_scales(lam: Colour | complex, mu: Colour | complex,
-                 home: Home) -> tuple[complex, complex, Home]:
+def _pair_scales(lam: complex, mu: complex, home: Home) -> tuple[complex, complex, Home]:
     """Z ratio, odd scale and target home of the composite map from the copy
     with colour mu to the one with colour lam, applied on ``home``."""
     lam_val = as_colour(lam)
@@ -107,20 +104,19 @@ def _pair_scales(lam: Colour | complex, mu: Colour | complex,
     if lam_val == mu_val:
         odd = 1.0 + 0j
     else:
-        odd = colour_norm(home.point.q, lam_val) / colour_norm(home.point.q, mu_val)
+        q, guard = home.point.q, home.point.guard
+        odd = colour_norm(q, lam_val, guard) / colour_norm(q, mu_val, guard)
     return lam_val / mu_val, odd, Home(home.point, lam_val)
 
 
-def sigma_pair(lam: Colour | complex, mu: Colour | complex,
-               x: AlgebraElement) -> AlgebraElement:
+def sigma_pair(lam: complex, mu: complex, x: AlgebraElement) -> AlgebraElement:
     """The composite map from the copy with colour mu to the one with colour
     lam, routed through the root copy (ratio of root normalisations)."""
     ratio, odd, target = _pair_scales(lam, mu, x.home)
     return _map_monomials(x, ratio, odd, target)
 
 
-def sigma_pair_slot(lam: Colour | complex, mu: Colour | complex,
-                    t: TensorElement, slot: int) -> TensorElement:
+def sigma_pair_slot(lam: complex, mu: complex, t: TensorElement, slot: int) -> TensorElement:
     """``sigma_pair(lam, mu, .)`` applied to one slot of a tensor.
 
     The map is even, so no sign arises and the tensor order is kept.
@@ -164,8 +160,7 @@ class GroupLawReport:
                    self.inverse_exact, self.grading, self.isomorphism)
 
 
-def check_group_laws(p: ParamPoint, nu: Colour | complex,
-                     nu2: Colour | complex) -> GroupLawReport:
+def check_group_laws(p: ParamPoint, nu: complex, nu2: complex) -> GroupLawReport:
     """Measure composition, identity, inverse and grading compatibility on
     seven root-copy probes.
 

@@ -95,9 +95,10 @@ def _check_input_home(ctx: ColouredMapContext, home: Home, what: str):
 def _coproduct_factors(ctx: ColouredMapContext) -> tuple[complex, complex, complex, complex]:
     """Slot colour ratios lam/nu, mu/nu and odd-image scales a_lam/a_nu, a_mu/a_nu."""
     lam, mu, nu = ctx.lam, ctx.mu, ctx.nu
-    q = ctx.p.q
-    a_nu = colour_norm(q, nu)
-    return lam / nu, mu / nu, colour_norm(q, lam) / a_nu, colour_norm(q, mu) / a_nu
+    q, guard = ctx.p.q, ctx.p.guard
+    a_nu = colour_norm(q, nu, guard)
+    return (lam / nu, mu / nu,
+            colour_norm(q, lam, guard) / a_nu, colour_norm(q, mu, guard) / a_nu)
 
 
 #: slot factors of D(psi+) and D(psi-): the a_lam term, then the a_mu term
@@ -182,9 +183,9 @@ class _AntipodeFactors(NamedTuple):
 
 def _antipode_factors(ctx: ColouredMapContext) -> _AntipodeFactors:
     mu, nu = ctx.mu, ctx.nu
-    q = ctx.p.q
+    q, guard = ctx.p.q, ctx.p.guard
     home = Home(ctx.p, mu)
-    psi_scale = -(colour_norm(q, mu) / colour_norm(q, nu))
+    psi_scale = -(colour_norm(q, mu, guard) / colour_norm(q, nu, guard))
     return _AntipodeFactors(home, -mu / nu, psi_scale, _home_mul_data(home))
 
 

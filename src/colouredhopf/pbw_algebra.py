@@ -30,6 +30,7 @@ from typing import NamedTuple
 
 from .coefficients import (
     PRUNE_TOL,
+    SINGULAR_FLOOR,
     ParamPoint,
     SingularParameterError,
     effective_q_squared,
@@ -37,9 +38,6 @@ from .coefficients import (
 
 #: keys whose exponents differ by less than this (abs + rel) are one monomial
 _KEY_MERGE_TOL = 1e-8
-
-#: hard floor protecting the 1/(q**(2c) - 1) division inside multiply
-_MULTIPLY_FLOOR = 1e-9
 
 
 class PBWMonomial(NamedTuple):
@@ -258,7 +256,7 @@ def _mono_mul(m1: PBWMonomial, m2: PBWMonomial,
 def _home_mul_data(home: Home) -> complex | None:
     """1/(q**(2c) - 1) of the copy, or None when it is too singular."""
     denom = home.effective_q_squared() - 1.0
-    return None if abs(denom) < _MULTIPLY_FLOOR else 1.0 / denom
+    return None if abs(denom) < SINGULAR_FLOOR else 1.0 / denom
 
 
 def _mul_terms(xs: dict[PBWMonomial, complex], ys: dict[PBWMonomial, complex],

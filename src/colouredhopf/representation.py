@@ -5,7 +5,10 @@ basis parities (even, odd):
 
     D(Z) = I,  D(H) = diag(1, -1),  D(psi+) = E12,  D(psi-) = E21.
 
-Tensor products of operators act with the super sign
+Every matrix is a plain complex ``np.ndarray``: 2x2 on the module, 4x4 and
+8x8 on its tensor square and cube, whose basis vectors are ordered
+lexicographically, so their parities follow from the dimension.  Tensor
+products of operators act with the super sign
 (a ox b)(v ox w) = (-1)**(deg b * deg v) a v ox b w, and analogously with
 cumulative parities on three factors.  Everything in this module funnels
 through that one rule: `rep_tensor` realises it for symbolic tensors, and
@@ -35,7 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coefficients import Colour, ParamPoint, as_colour, colour_norm, cpow
+from .coefficients import ParamPoint, as_colour, colour_norm, cpow
 from .coloured_hopf import ColouredMapContext, coproduct
 from .colour_group import sigma_pair
 from .pbw_algebra import (
@@ -59,27 +62,6 @@ _PSI_MATS = {
     (0, 1): _E21,
     (1, 1): np.diag([1.0 + 0j, 0.0 + 0j]),
 }
-
-PARITIES_2 = (0, 1)
-PARITIES_4 = (0, 1, 1, 0)
-PARITIES_8 = tuple((i + j + k) & 1 for i in (0, 1) for j in (0, 1) for k in (0, 1))
-
-
-@dataclass
-class GradedMatrix:
-    """A dense complex matrix over a parity-labelled basis."""
-
-    entries: np.ndarray
-    parities: tuple[int, ...]
-
-    def __post_init__(self):
-        self.entries = np.asarray(self.entries, dtype=complex)
-        if self.entries.shape != (len(self.parities), len(self.parities)):
-            raise ValueError("GradedMatrix: shape does not match parity labels")
-
-    @property
-    def dim(self) -> int:
-        return len(self.parities)
 
 
 def frobenius_residual(a: np.ndarray, b: np.ndarray) -> float:
@@ -105,13 +87,13 @@ def _mono_matrix(m: PBWMonomial, q: complex, s: complex, c: complex) -> np.ndarr
     return scalar * mat
 
 
-def rep(x: AlgebraElement) -> GradedMatrix:
+def rep(x: AlgebraElement) -> np.ndarray:
     """Represent an element on the graded two-dimensional module."""
     q, s, c = x.home.point.q, x.home.point.s, x.home.colour
     out = np.zeros((2, 2), dtype=complex)
     for m, coeff in x.terms.items():
         out += coeff * _mono_matrix(m, q, s, c)
-    return GradedMatrix(out, PARITIES_2)
+    return out
 
 
 _COL_I2 = np.array([0, 0, 1, 1])          # first-slot basis parity per column, dim 4
@@ -119,7 +101,7 @@ _COL_I3 = np.repeat([0, 1], 4)            # dim 8 column first-slot parity
 _COL_J3 = np.tile(np.repeat([0, 1], 2), 2)
 
 
-def rep_tensor(u: TensorElement) -> GradedMatrix:
+def rep_tensor(u: TensorElement) -> np.ndarray:
     """Represent an order-2 or order-3 tensor with the super action signs."""
     q, s = u.homes[0].point.q, u.homes[0].point.s
     dim = 2 ** u.order
@@ -134,11 +116,10 @@ def rep_tensor(u: TensorElement) -> GradedMatrix:
             sign_exp = key[1].parity * _COL_I2
         signs = np.where(sign_exp & 1, -1.0, 1.0)
         out += coeff * kron * signs[np.newaxis, :]
-    return GradedMatrix(out, PARITIES_4 if u.order == 2 else PARITIES_8)
+    return out
 
 
-def coloured_R_closed_form(p: ParamPoint, lam: Colour | complex,
-                           mu: Colour | complex) -> GradedMatrix:
+def coloured_R_closed_form(p: ParamPoint, lam: complex, mu: complex) -> np.ndarray:
     """The explicit 4x4 coloured R-matrix."""
     q, s = p.q, p.s
     lv, mv = as_colour(lam), as_colour(mu)
@@ -147,9 +128,9 @@ def coloured_R_closed_form(p: ParamPoint, lam: Colour | complex,
     out[1, 1] = cpow(q, (mv - lv) / 2) * cpow(s, (lv + mv) / 2)
     out[2, 2] = cpow(q, (lv - mv) / 2) * cpow(s, -(lv + mv) / 2)
     out[3, 3] = cpow(q, -(lv + mv) / 2) * cpow(s, (lv - mv) / 2)
-    out[1, 2] = ((q * q - 1.0) * colour_norm(q, lv) * colour_norm(q, mv)
+    out[1, 2] = ((q * q - 1.0) * colour_norm(q, lv, p.guard) * colour_norm(q, mv, p.guard)
                  * cpow(q, -(lv + mv) / 2))
-    return GradedMatrix(out, PARITIES_4)
+    return out
 
 
 def _graded_kron2(a: np.ndarray, b: np.ndarray, parity_b: int) -> np.ndarray:
@@ -169,25 +150,22 @@ class RFactorisation:
     bracket's nilpotent part squares to zero, so the inverse is closed form.
     """
 
-    diagonal_factor: GradedMatrix
-    odd_left: GradedMatrix
-    odd_right: GradedMatrix
+    diagonal_factor: np.ndarray
+    odd_left: np.ndarray
+    odd_right: np.ndarray
     coefficient: complex
 
     def bracket_matrix(self) -> np.ndarray:
-        t = self.coefficient * _graded_kron2(
-            self.odd_left.entries, self.odd_right.entries, 1)
+        t = self.coefficient * _graded_kron2(self.odd_left, self.odd_right, 1)
         return np.eye(4, dtype=complex) + t
 
-    def matrix(self) -> GradedMatrix:
-        return GradedMatrix(self.diagonal_factor.entries @ self.bracket_matrix(),
-                            PARITIES_4)
+    def matrix(self) -> np.ndarray:
+        return self.diagonal_factor @ self.bracket_matrix()
 
-    def inverse_matrix(self) -> GradedMatrix:
-        t = self.coefficient * _graded_kron2(
-            self.odd_left.entries, self.odd_right.entries, 1)
-        inv_diag = np.diag(1.0 / np.diag(self.diagonal_factor.entries))
-        return GradedMatrix((np.eye(4, dtype=complex) - t) @ inv_diag, PARITIES_4)
+    def inverse_matrix(self) -> np.ndarray:
+        t = self.coefficient * _graded_kron2(self.odd_left, self.odd_right, 1)
+        inv_diag = np.diag(1.0 / np.diag(self.diagonal_factor))
+        return (np.eye(4, dtype=complex) - t) @ inv_diag
 
 
 _H_DIAG = np.array([1.0, -1.0])
@@ -199,7 +177,7 @@ def r_bracket_factors(p: ParamPoint, lam: complex, mu: complex
                       ) -> tuple[complex, AlgebraElement, AlgebraElement]:
     """Coefficient and algebra factors of the R-matrix bracket term."""
     q = p.q
-    coeff = -(q * q - 1.0) * colour_norm(q, lam) * colour_norm(q, mu)
+    coeff = -(q * q - 1.0) * colour_norm(q, lam, p.guard) * colour_norm(q, mu, p.guard)
     left = AlgebraElement(Home(p, lam),
                           {PBWMonomial(0, 0, 0j, -0.5 + 0j, 1, 0): 1.0 + 0j})
     right = AlgebraElement(Home(p, mu),
@@ -207,8 +185,7 @@ def r_bracket_factors(p: ParamPoint, lam: complex, mu: complex
     return coeff, left, right
 
 
-def r_factorisation(p: ParamPoint, lam: Colour | complex,
-                    mu: Colour | complex) -> RFactorisation:
+def r_factorisation(p: ParamPoint, lam: complex, mu: complex) -> RFactorisation:
     """Build the universal-route factorisation of the coloured R-matrix."""
     q, s = p.q, p.s
     lv, mv = as_colour(lam), as_colour(mu)
@@ -217,47 +194,42 @@ def r_factorisation(p: ParamPoint, lam: Colour | complex,
     diag = np.diag([cpow(q, nq[i]) * cpow(s, ns[i]) for i in range(4)])
     coeff, left, right = r_bracket_factors(p, lv, mv)
     return RFactorisation(
-        diagonal_factor=GradedMatrix(diag, PARITIES_4),
+        diagonal_factor=diag,
         odd_left=rep(left),
         odd_right=rep(right),
         coefficient=coeff,
     )
 
 
-def coloured_R_from_universal(p: ParamPoint, lam: Colour | complex,
-                              mu: Colour | complex) -> GradedMatrix:
+def coloured_R_from_universal(p: ParamPoint, lam: complex, mu: complex) -> np.ndarray:
     """Represent the factorised universal R-matrix on the tensor square."""
     return r_factorisation(p, lam, mu).matrix()
 
 
-def crossval_residual(p: ParamPoint, lam: Colour | complex,
-                      mu: Colour | complex) -> float:
+def crossval_residual(p: ParamPoint, lam: complex, mu: complex) -> float:
     """Disagreement between the universal route and the closed form."""
-    closed = coloured_R_closed_form(p, lam, mu).entries
-    universal = coloured_R_from_universal(p, lam, mu).entries
-    return frobenius_residual(closed, universal)
+    return frobenius_residual(coloured_R_closed_form(p, lam, mu),
+                              coloured_R_from_universal(p, lam, mu))
 
 
 # ---------------------------------------------------------------------------
 # graded three-slot embeddings
 # ---------------------------------------------------------------------------
 
-def embed(m: GradedMatrix, slot: int | str) -> GradedMatrix:
-    """Place a 4x4 operator into two of three graded tensor slots.
+def embed(m: np.ndarray, slot: str) -> np.ndarray:
+    """Place a 4x4 operator into two of three graded tensor slots: "12",
+    "13" or "23".
 
-    The input must act on the graded tensor square (dim 4); each entry is a
-    matrix element of a homogeneous operator pair, whose parities are read
-    off entrywise, so sums of homogeneous pairs embed correctly.
+    The input must act on the graded tensor square; each entry is a matrix
+    element of a homogeneous operator pair, whose parities are read off
+    entrywise, so sums of homogeneous pairs embed correctly.
     """
-    slot = str(slot)
-    if m.dim != 4:
+    if m.shape != (4, 4):
         raise ValueError("embed: expected a 4x4 matrix")
-    M = m.entries
     if slot == "12":
-        out = np.kron(M, np.eye(2, dtype=complex))
-        return GradedMatrix(out, PARITIES_8)
+        return np.kron(m, np.eye(2, dtype=complex))
 
-    T = M.reshape(2, 2, 2, 2)  # [r1, r2, c1, c2]
+    T = m.reshape(2, 2, 2, 2)  # [r1, r2, c1, c2]
     out = np.zeros((2, 2, 2, 2, 2, 2), dtype=complex)
     r1, r2, c1, c2 = np.indices((2, 2, 2, 2))
     if slot == "13":
@@ -273,15 +245,14 @@ def embed(m: GradedMatrix, slot: int | str) -> GradedMatrix:
             out[i, :, :, i, :, :] = T * sign
     else:
         raise ValueError(f"embed: unknown slot {slot!r}")
-    return GradedMatrix(out.reshape(8, 8), PARITIES_8)
+    return out.reshape(8, 8)
 
 
 # ---------------------------------------------------------------------------
 # matrix-level checks
 # ---------------------------------------------------------------------------
 
-def check_coloured_graded_ybe(p: ParamPoint, lam: Colour | complex,
-                              mu: Colour | complex, nu: Colour | complex,
+def check_coloured_graded_ybe(p: ParamPoint, lam: complex, mu: complex, nu: complex,
                               perturb: float = 0.0) -> float:
     """Residual of R12 R13 R23 = R23 R13 R12 with graded embeddings.
 
@@ -292,42 +263,36 @@ def check_coloured_graded_ybe(p: ParamPoint, lam: Colour | complex,
     lv, mv, nv = as_colour(lam), as_colour(mu), as_colour(nu)
     r_lm = coloured_R_closed_form(p, lv, mv)
     if perturb:
-        entries = r_lm.entries.copy()
-        entries[1, 2] *= (1.0 + perturb)
-        r_lm = GradedMatrix(entries, PARITIES_4)
-    r_ln = coloured_R_closed_form(p, lv, nv)
-    r_mn = coloured_R_closed_form(p, mv, nv)
-    a = embed(r_lm, "12").entries
-    b = embed(r_ln, "13").entries
-    c = embed(r_mn, "23").entries
+        r_lm[1, 2] *= (1.0 + perturb)
+    a = embed(r_lm, "12")
+    b = embed(coloured_R_closed_form(p, lv, nv), "13")
+    c = embed(coloured_R_closed_form(p, mv, nv), "23")
     lhs = a @ b @ c
     rhs = c @ b @ a
     return frobenius_residual(lhs, rhs)
 
 
-def check_anticommutator(p: ParamPoint, nu: Colour | complex) -> float:
+def check_anticommutator(p: ParamPoint, nu: complex) -> float:
     """The representation respects the defining anticommutator of the copy
-    with colour nu: largest entry of rep(psi+) rep(psi-) + rep(psi-) rep(psi+)
-    - rep((q_nu**(2Z) - 1)/(q_nu**2 - 1))."""
+    with colour nu: rep(psi+) rep(psi-) + rep(psi-) rep(psi+) against
+    rep((q_nu**(2Z) - 1)/(q_nu**2 - 1))."""
     home = Home(p, as_colour(nu))
-    dp = rep(psi_plus(home)).entries
-    dm = rep(psi_minus(home)).entries
-    target = rep(relation_element(home)).entries
-    return float(np.abs(dp @ dm + dm @ dp - target).max())
+    dp = rep(psi_plus(home))
+    dm = rep(psi_minus(home))
+    return frobenius_residual(dp @ dm + dm @ dp, rep(relation_element(home)))
 
 
-def check_intertwiner(p: ParamPoint, lam: Colour | complex, mu: Colour | complex,
-                      nu: Colour | complex) -> float:
+def check_intertwiner(p: ParamPoint, lam: complex, mu: complex, nu: complex) -> float:
     """The R-matrix conjugates the comultiplication into its graded flip:
     the largest residual over the four generators at colour nu."""
     lv, mv, nv = as_colour(lam), as_colour(mu), as_colour(nu)
     fac = r_factorisation(p, lv, mv)
-    r_mat, r_inv = fac.matrix().entries, fac.inverse_matrix().entries
+    r_mat, r_inv = fac.matrix(), fac.inverse_matrix()
     flip_ctx, ctx = ColouredMapContext(p, mv, lv, nv), ColouredMapContext(p, lv, mv, nv)
     worst = 0.0
     for x in generators(Home(p, nv)).values():
-        lhs = rep_tensor(graded_twist(coproduct(flip_ctx, x))).entries
-        rhs = r_mat @ rep_tensor(coproduct(ctx, x)).entries @ r_inv
+        lhs = rep_tensor(graded_twist(coproduct(flip_ctx, x)))
+        rhs = r_mat @ rep_tensor(coproduct(ctx, x)) @ r_inv
         worst = max(worst, frobenius_residual(lhs, rhs))
     return worst
 
@@ -349,9 +314,8 @@ def _prefactor_8(p: ParamPoint, cq: tuple[complex, complex, complex],
     return out
 
 
-def check_hexagons(p: ParamPoint, alpha: Colour | complex, beta: Colour | complex,
-                   gamma: Colour | complex, lam: Colour | complex,
-                   mu: Colour | complex) -> tuple[float, float]:
+def check_hexagons(p: ParamPoint, alpha: complex, beta: complex, gamma: complex,
+                   lam: complex, mu: complex) -> tuple[float, float]:
     """Residuals of the two quasitriangularity hexagons on 8x8 matrices.
 
       (D^{alpha,beta}_lam ox s^gamma_mu)(R^{lam,mu}) = R^{alpha,gamma}_13 R^{beta,gamma}_23
@@ -365,28 +329,25 @@ def check_hexagons(p: ParamPoint, alpha: Colour | complex, beta: Colour | comple
     pre1 = _prefactor_8(p, (gv, gv, av + bv), (gv, gv, -(av + bv)))
     du = coproduct(ColouredMapContext(p, av, bv, lv), u_left)
     sv = sigma_pair(gv, mv, v_right)
-    bracket1 = eye8 + coeff * rep_tensor(tensor_concat(du, sv)).entries
+    bracket1 = eye8 + coeff * rep_tensor(tensor_concat(du, sv))
     lhs1 = pre1 @ bracket1
-    rhs1 = (embed(coloured_R_closed_form(p, av, gv), "13").entries
-            @ embed(coloured_R_closed_form(p, bv, gv), "23").entries)
+    rhs1 = (embed(coloured_R_closed_form(p, av, gv), "13")
+            @ embed(coloured_R_closed_form(p, bv, gv), "23"))
     res1 = frobenius_residual(lhs1, rhs1)
 
     # second hexagon: comultiply the second leg
     pre2 = _prefactor_8(p, (bv + gv, av, av), (bv + gv, -av, -av))
     su = sigma_pair(av, lv, u_left)
     dv = coproduct(ColouredMapContext(p, bv, gv, mv), v_right)
-    bracket2 = eye8 + coeff * rep_tensor(tensor_concat(su, dv)).entries
+    bracket2 = eye8 + coeff * rep_tensor(tensor_concat(su, dv))
     lhs2 = pre2 @ bracket2
-    rhs2 = (embed(coloured_R_closed_form(p, av, gv), "13").entries
-            @ embed(coloured_R_closed_form(p, av, bv), "12").entries)
+    rhs2 = (embed(coloured_R_closed_form(p, av, gv), "13")
+            @ embed(coloured_R_closed_form(p, av, bv), "12"))
     res2 = frobenius_residual(lhs2, rhs2)
     return res1, res2
 
 
-def check_r_inverse(p: ParamPoint, lam: Colour | complex,
-                    mu: Colour | complex) -> float:
+def check_r_inverse(p: ParamPoint, lam: complex, mu: complex) -> float:
     """Closed-form nilpotent inverse against the numeric matrix inverse."""
     fac = r_factorisation(p, lam, mu)
-    closed = fac.inverse_matrix().entries
-    numeric = np.linalg.inv(fac.matrix().entries)
-    return frobenius_residual(numeric, closed)
+    return frobenius_residual(np.linalg.inv(fac.matrix()), fac.inverse_matrix())

@@ -39,7 +39,7 @@ def _criterion(label: str, report: dict, tolerances: dict, exceed=()) -> None:
 
 
 def test_criterion_1_rmatrix_cross_validation(verify_report):
-    nonreal = sum(abs(c1.value.imag) > 0.1 or abs(c2.value.imag) > 0.1
+    nonreal = sum(abs(c1.imag) > 0.1 or abs(c2.imag) > 0.1
                   for _, (c1, c2, _) in sample_params(0, 100))
     assert nonreal > 50  # the draw really covers nonreal colours
     _criterion("criterion 1: R-matrix cross-validation", verify_report, {"crossval": 1e-12})
@@ -61,7 +61,7 @@ def test_criterion_4_colour_group_laws_with_branch_report(verify_report):
     worst_signed = 0.0
     flips = 0
     for point, (c1, c2, _) in sample_params(0, 100):
-        report = check_group_laws(point, c1.value, c2.value)
+        report = check_group_laws(point, c1, c2)
         worst_signed = max(worst_signed, report.composition_signed)
         flips += report.branch_flip_detected
     print(f"[info] branch sensitivity: {flips}/100 draws flip sign on odd "
@@ -89,9 +89,9 @@ def test_criterion_7_relation_preservation_oracle(verify_report):
 def test_criterion_8_bialgebra_twist_sign_sensitivity():
     weakest = float("inf")
     for point, (c1, c2, c3) in sample_params(0, 10):
-        home = Home(point, c3.value)
+        home = Home(point, c3)
         report = verify_bialgebra(
-            point, (c1.value, c2.value, c3.value),
+            point, (c1, c2, c3),
             [(psi_plus(home), psi_minus(home))], twist_sign="self")
         weakest = min(weakest, report.max_residual)
     assert _report("criterion 8: squared-degree twist breaks the bialgebra axiom",

@@ -219,6 +219,18 @@ def test_verify_unsatisfiable_guard_is_usage_error(capsys):
     assert "no admissible q" in captured.err
 
 
+@pytest.mark.parametrize("argv", [
+    ["rmatrix", "--q", "1.02", "--s", "1"],
+    ["ybe", "--q", "1.02", "--s", "1"],
+    ["sweep", "--q", "1.02", "--s", "1"],
+    # draw 17 of seed 0 has |q**2 - 1| = 0.0729, below the default guard
+    ["verify", "--draws", "18"],
+])
+def test_guard_below_default_is_honoured(argv, capsys):
+    assert main(argv + ["--guard", "0.01"]) == 0
+    assert capsys.readouterr().err == ""
+
+
 @pytest.mark.parametrize("spaced, joined", [
     (["ybe", "--q", "2", "--s", "-0.5+1.2i"],
      ["ybe", "--q", "2", "--s=-0.5+1.2i"]),

@@ -120,15 +120,15 @@ def test_sigma_is_algebra_isomorphism():
         gens = list(generators(home).values())
         for x in gens:
             for y in gens:
-                lhs = sigma(c1.value, multiply(x, y))
-                rhs = multiply(sigma(c1.value, x), sigma(c1.value, y))
+                lhs = sigma(c1, multiply(x, y))
+                rhs = multiply(sigma(c1, x), sigma(c1, y))
                 assert residual_between(lhs, rhs) <= 1e-11
 
 
 def test_group_laws_over_draws():
     flips = 0
     for point, (c1, c2, _) in sample_params(2, 100):
-        report = check_group_laws(point, c1.value, c2.value)
+        report = check_group_laws(point, c1, c2)
         assert report.max_asserted <= 1e-11
         flips += report.branch_flip_detected
     # the signed comparison must disagree for some draws, otherwise the
@@ -176,7 +176,7 @@ def test_colour_maps_keep_monomial_keys():
     colour maps reach each monomial under one key, not float-noise variants."""
     rng = np.random.default_rng(131)
     for point, colours in sample_params(137, 10, colours_per_draw=5):
-        lam, mu, nu, alpha, beta = (c.value for c in colours)
+        lam, mu, nu, alpha, beta = colours
         x = AlgebraElement(Home(point, nu), {
             PBWMonomial(z, h, complex(*rng.normal(0, 0.5, 2)), complex(*rng.normal(0, 0.5, 2)),
                         e, d): complex(*rng.normal(size=2))

@@ -78,7 +78,7 @@ def test_coproduct_of_h_is_primitive():
 
 def test_coproduct_respects_defining_relation():
     for point, (c1, c2, c3) in sample_params(41, 10):
-        report = verify_relation_preservation(point, (c1.value, c2.value, c3.value))
+        report = verify_relation_preservation(point, (c1, c2, c3))
         assert report.max_residual <= 1e-11
 
 
@@ -125,10 +125,10 @@ def test_colour_transformation_identity_case():
 def test_colour_transformations_random():
     rng = np.random.default_rng(43)
     for point, (c1, c2, c3) in sample_params(47, 10):
-        extra = [c.value for c in draw_colours(rng, point.q, 3)]
-        probes = [random_probe(rng, Home(point, c3.value)) for _ in range(5)]
+        extra = draw_colours(rng, point.q, 3)
+        probes = [random_probe(rng, Home(point, c3)) for _ in range(5)]
         report = verify_colour_transformations(
-            point, (extra[0], extra[1], c1.value, c2.value, extra[2], c3.value), probes)
+            point, (extra[0], extra[1], c1, c2, extra[2], c3), probes)
         assert report.max_residual <= 1e-11
 
 
@@ -142,12 +142,11 @@ def test_coassociativity_reduces_to_ordinary():
 def test_coassociativity_random_colours():
     rng = np.random.default_rng(53)
     for point, (c1, c2, c3) in sample_params(59, 10):
-        extra = [c.value for c in draw_colours(rng, point.q, 5)]
-        home = Home(point, c3.value)
+        extra = draw_colours(rng, point.q, 5)
+        home = Home(point, c3)
         probes = [z_gen(home), psi_plus(home)]
         report = verify_coassociativity(
-            point, (c1.value, c2.value, extra[0], extra[1], extra[2],
-                    extra[3], extra[4], c3.value), probes)
+            point, (c1, c2, *extra, c3), probes)
         assert report.max_residual <= 1e-11
 
 
@@ -170,10 +169,10 @@ def test_antipode_axiom_h_cancels():
 def test_antipode_axiom_random():
     rng = np.random.default_rng(61)
     for point, (c1, c2, c3) in sample_params(67, 10):
-        extra = [c.value for c in draw_colours(rng, point.q, 3)]
-        probes = [random_probe(rng, Home(point, c3.value)) for _ in range(5)]
+        extra = draw_colours(rng, point.q, 3)
+        probes = [random_probe(rng, Home(point, c3)) for _ in range(5)]
         report = verify_antipode_axiom(
-            point, (extra[0], c1.value, c2.value, extra[1], extra[2], c3.value), probes)
+            point, (extra[0], c1, c2, extra[1], extra[2], c3), probes)
         assert report.max_residual <= 1e-11
 
 
@@ -261,7 +260,7 @@ def test_closed_form_coproduct_matches_multiplicative_definition():
     shapes = [(z, h, e, d) for z in range(5) for h in range(5)
               for e in range(2) for d in range(2)]
     for point, (c1, c2, c3) in sample_params(73, 3):
-        ctx = ColouredMapContext(point, c1.value, c2.value, c3.value)
+        ctx = ColouredMapContext(point, c1, c2, c3)
         home = ctx.in_home
         for z, h, e, d in shapes:
             for with_exp in (False, True):
@@ -382,7 +381,7 @@ def test_monomial_antipode_matches_multiplicative_definition():
     shapes = [(z, h, e, d) for z in range(5) for h in range(5)
               for e in range(2) for d in range(2)]
     for point, (c1, c2, c3) in sample_params(83, 3):
-        ctx = ColouredMapContext(point, c1.value, c2.value, c3.value)
+        ctx = ColouredMapContext(point, c1, c2, c3)
         home = ctx.in_home
         for z, h, e, d in shapes:
             for with_exp in (False, True):

@@ -71,8 +71,8 @@ def test_anticommutator_rewrite():
     ok, res = equal_upto_tol(result, expected, 1e-13)
     assert ok, res
     # the two-dimensional module is the independent oracle
-    lhs = rep(psi_minus(HOME)).entries @ rep(psi_plus(HOME)).entries
-    rhs = rep(result).entries
+    lhs = rep(psi_minus(HOME)) @ rep(psi_plus(HOME))
+    rhs = rep(result)
     assert np.abs(lhs - rhs).max() < 1e-13
 
 
@@ -208,14 +208,14 @@ def test_representation_oracle_random_elements():
     gens = list(generators(HOME).values())
     for a in gens:
         for b in gens:
-            lhs = rep(multiply(a, b)).entries
-            rhs = rep(a).entries @ rep(b).entries
+            lhs = rep(multiply(a, b))
+            rhs = rep(a) @ rep(b)
             assert np.abs(lhs - rhs).max() <= 1e-12 * max(1.0, np.abs(rhs).max())
     for _ in range(50):
         x = _random_element(rng, HOME)
         y = _random_element(rng, HOME)
-        lhs = rep(multiply(x, y)).entries
-        rhs = rep(x).entries @ rep(y).entries
+        lhs = rep(multiply(x, y))
+        rhs = rep(x) @ rep(y)
         assert np.abs(lhs - rhs).max() <= 1e-12 * max(1.0, np.abs(rhs).max())
 
 

@@ -18,8 +18,6 @@ from colouredhopf.pbw_algebra import (
     z_gen,
 )
 from colouredhopf.representation import (
-    PARITIES_4,
-    GradedMatrix,
     check_coloured_graded_ybe,
     check_hexagons,
     check_intertwiner,
@@ -40,31 +38,31 @@ HOME = Home(P)
 
 
 def test_rep_generator_matrices():
-    assert np.allclose(rep(h_gen(HOME)).entries, np.diag([1.0, -1.0]))
-    assert np.allclose(rep(z_gen(HOME)).entries, np.eye(2))
-    assert np.allclose(rep(psi_plus(HOME)).entries, [[0, 1], [0, 0]])
-    assert np.allclose(rep(psi_minus(HOME)).entries, [[0, 0], [1, 0]])
+    assert np.allclose(rep(h_gen(HOME)), np.diag([1.0, -1.0]))
+    assert np.allclose(rep(z_gen(HOME)), np.eye(2))
+    assert np.allclose(rep(psi_plus(HOME)), [[0, 1], [0, 0]])
+    assert np.allclose(rep(psi_minus(HOME)), [[0, 0], [1, 0]])
 
 
 def test_rep_product_of_odd_generators():
     prod = multiply(psi_plus(HOME), psi_minus(HOME))
-    assert np.allclose(rep(prod).entries, np.diag([1.0, 0.0]))
+    assert np.allclose(rep(prod), np.diag([1.0, 0.0]))
 
 
 def test_rep_of_relation_is_identity():
     # (q**(2Z) - 1)/(q**2 - 1) represents to the identity since D(Z) = I
     from colouredhopf.pbw_algebra import relation_element
 
-    rel = rep(relation_element(HOME)).entries
+    rel = rep(relation_element(HOME))
     assert np.allclose(rel, np.eye(2), atol=1e-14)
-    anti = (rep(psi_plus(HOME)).entries @ rep(psi_minus(HOME)).entries
-            + rep(psi_minus(HOME)).entries @ rep(psi_plus(HOME)).entries)
+    anti = (rep(psi_plus(HOME)) @ rep(psi_minus(HOME))
+            + rep(psi_minus(HOME)) @ rep(psi_plus(HOME)))
     assert np.allclose(anti, rel, atol=1e-14)
 
 
 def test_rep_of_exponential_factor():
     elem = AlgebraElement(HOME, {PBWMonomial(0, 0, 2.0 + 0j, 0j, 0, 0): 1.0})
-    assert np.allclose(rep(elem).entries, (P.q ** 2) * np.eye(2))
+    assert np.allclose(rep(elem), (P.q ** 2) * np.eye(2))
 
 
 def test_rep_evaluates_exponents_in_units_of_the_home_colour():
@@ -73,18 +71,18 @@ def test_rep_evaluates_exponents_in_units_of_the_home_colour():
     for c in (1.0 + 0j, 2.0 + 0j, 1.3 + 0.4j):
         for mono, scalar in ((PBWMonomial(0, 0, e, 0j, 0, 0), cpow(PC.q, c * e)),
                              (PBWMonomial(0, 0, 0j, f, 0, 0), cpow(PC.s, c * f))):
-            mat = rep(AlgebraElement(Home(PC, c), {mono: 1.0})).entries
+            mat = rep(AlgebraElement(Home(PC, c), {mono: 1.0}))
             assert np.array_equal(mat, scalar * np.eye(2))
 
 
 def test_rep_tensor_even_operator():
     u = tensor_concat(h_gen(HOME), unit(HOME))
-    assert np.allclose(rep_tensor(u).entries, np.diag([1.0, 1.0, -1.0, -1.0]))
+    assert np.allclose(rep_tensor(u), np.diag([1.0, 1.0, -1.0, -1.0]))
 
 
 def test_rep_tensor_odd_pair_sign():
     u = tensor_concat(psi_plus(HOME), psi_minus(HOME))
-    mat = rep_tensor(u).entries
+    mat = rep_tensor(u)
     expected = np.zeros((4, 4), dtype=complex)
     expected[1, 2] = -1.0  # row (e1 ox e2), column (e2 ox e1), odd crossing
     assert np.allclose(mat, expected)
@@ -93,7 +91,7 @@ def test_rep_tensor_odd_pair_sign():
 def test_rep_tensor_of_coproduct_of_z():
     lam, mu, nu = 2.0, 3.0, 6.0
     ctx = ColouredMapContext(P, lam, mu, nu)
-    mat = rep_tensor(coproduct(ctx, z_gen(Home(P, nu)))).entries
+    mat = rep_tensor(coproduct(ctx, z_gen(Home(P, nu))))
     assert np.allclose(mat, ((lam + mu) / nu) * np.eye(4))
 
 
@@ -106,8 +104,8 @@ def test_rep_tensor_is_algebra_map():
             for c in gens:
                 for d in gens:
                     v = tensor_concat(c, d)
-                    lhs = rep_tensor(tensor_multiply(u, v)).entries
-                    rhs = rep_tensor(u).entries @ rep_tensor(v).entries
+                    lhs = rep_tensor(tensor_multiply(u, v))
+                    rhs = rep_tensor(u) @ rep_tensor(v)
                     scale = max(1.0, np.abs(rhs).max())
                     assert np.abs(lhs - rhs).max() <= 1e-11 * scale
 
@@ -115,7 +113,7 @@ def test_rep_tensor_is_algebra_map():
 def test_closed_form_diagonal_and_offdiagonal():
     lam, mu = 1.6 - 0.2j, 0.9 + 0.7j
     q, s = PC.q, PC.s
-    R = coloured_R_closed_form(PC, lam, mu).entries
+    R = coloured_R_closed_form(PC, lam, mu)
     assert R[0, 0] == pytest.approx(cpow(q, (lam + mu) / 2) * cpow(s, (mu - lam) / 2))
     assert R[1, 1] == pytest.approx(cpow(q, (mu - lam) / 2) * cpow(s, (lam + mu) / 2))
     assert R[2, 2] == pytest.approx(cpow(q, (lam - mu) / 2) * cpow(s, -(lam + mu) / 2))
@@ -125,7 +123,7 @@ def test_closed_form_diagonal_and_offdiagonal():
 
 
 def test_closed_form_reference_point():
-    R = coloured_R_closed_form(ParamPoint(2.0, 1.0), 1.0, 1.0).entries
+    R = coloured_R_closed_form(ParamPoint(2.0, 1.0), 1.0, 1.0)
     assert np.allclose(np.diag(R), [2.0, 1.0, 1.0, 0.5])
     assert R[1, 2] == pytest.approx(1.5)
     off_diagonal = R - np.diag(np.diag(R))
@@ -135,40 +133,47 @@ def test_closed_form_reference_point():
 
 def test_cross_validation_over_draws():
     for point, (c1, c2, _) in sample_params(73, 100):
-        assert crossval_residual(point, c1.value, c2.value) <= 1e-12
+        assert crossval_residual(point, c1, c2) <= 1e-12
 
 
 def test_universal_route_identity_colours():
-    R_closed = coloured_R_closed_form(P, 1.0, 1.0).entries
-    R_univ = coloured_R_from_universal(P, 1.0, 1.0).entries
+    R_closed = coloured_R_closed_form(P, 1.0, 1.0)
+    R_univ = coloured_R_from_universal(P, 1.0, 1.0)
     assert frobenius_residual(R_closed, R_univ) <= 1e-14
 
 
 def test_r_inverse_closed_form():
     for point, (c1, c2, _) in sample_params(79, 50):
-        assert check_r_inverse(point, c1.value, c2.value) <= 1e-12
+        assert check_r_inverse(point, c1, c2) <= 1e-12
     fac = r_factorisation(PC, 1.3 + 0.2j, 0.8 - 0.5j)
-    prod = fac.matrix().entries @ fac.inverse_matrix().entries
+    prod = fac.matrix() @ fac.inverse_matrix()
     assert np.abs(prod - np.eye(4)).max() <= 1e-12
 
 
 def test_odd_factors_are_nilpotent():
     fac = r_factorisation(PC, 1.3 + 0.2j, 0.8 - 0.5j)
-    assert np.allclose(fac.odd_left.entries @ fac.odd_left.entries, 0.0)
-    assert np.allclose(fac.odd_right.entries @ fac.odd_right.entries, 0.0)
+    assert np.allclose(fac.odd_left @ fac.odd_left, 0.0)
+    assert np.allclose(fac.odd_right @ fac.odd_right, 0.0)
 
 
 def test_embed_identity():
-    eye = GradedMatrix(np.eye(4, dtype=complex), PARITIES_4)
     for slot in ("12", "13", "23"):
-        assert np.allclose(embed(eye, slot).entries, np.eye(8))
+        assert np.allclose(embed(np.eye(4, dtype=complex), slot), np.eye(8))
 
 
 def test_embed_diagonal_even_part_signless():
-    diag = GradedMatrix(np.diag([2.0, 3.0, 5.0, 7.0]).astype(complex), PARITIES_4)
-    out = embed(diag, "13").entries
+    out = embed(np.diag([2.0, 3.0, 5.0, 7.0]).astype(complex), "13")
     # basis (i, j, k) maps to the (i, k) entry, untouched by the middle slot
     assert np.allclose(out, np.diag([2.0, 3.0, 2.0, 3.0, 5.0, 7.0, 5.0, 7.0]))
+
+
+def test_embed_rejects_bad_shape_and_slot():
+    with pytest.raises(ValueError, match="4x4"):
+        embed(np.eye(2, dtype=complex), "12")
+    with pytest.raises(ValueError, match="4x4"):
+        embed(np.eye(8, dtype=complex), "13")
+    with pytest.raises(ValueError, match="unknown slot"):
+        embed(np.eye(4, dtype=complex), "21")
 
 
 def test_embed_matches_symbolic_tensor_action():
@@ -187,24 +192,24 @@ def test_embed_matches_symbolic_tensor_action():
             ("13", lambda: tensor_concat(a, unit(HOME), b)),
             ("23", lambda: tensor_concat(unit(HOME), a, b)),
         ):
-            lhs = embed(mat2, slot).entries
-            rhs = rep_tensor(build()).entries
+            lhs = embed(mat2, slot)
+            rhs = rep_tensor(build())
             assert np.abs(lhs - rhs).max() <= 1e-13, (slot, a, b)
 
 
 def test_ybe_over_draws():
     for point, (c1, c2, c3) in sample_params(83, 100):
-        assert check_coloured_graded_ybe(point, c1.value, c2.value, c3.value) <= 1e-10
+        assert check_coloured_graded_ybe(point, c1, c2, c3) <= 1e-10
 
 
 def test_ybe_single_colour():
     for point, (c1, _, _) in sample_params(89, 20):
-        assert check_coloured_graded_ybe(point, c1.value, c1.value, c1.value) <= 1e-10
+        assert check_coloured_graded_ybe(point, c1, c1, c1) <= 1e-10
 
 
 def test_ybe_negative_control():
     for point, (c1, c2, c3) in sample_params(97, 20):
-        res = check_coloured_graded_ybe(point, c1.value, c2.value, c3.value, perturb=0.01)
+        res = check_coloured_graded_ybe(point, c1, c2, c3, perturb=0.01)
         assert res > 1e-6
 
 
@@ -216,7 +221,7 @@ def test_intertwiner_symmetric_colours_on_z():
 
 def test_intertwiner_all_generators():
     for point, (c1, c2, c3) in sample_params(101, 50):
-        assert check_intertwiner(point, c1.value, c2.value, c3.value) <= 1e-10
+        assert check_intertwiner(point, c1, c2, c3) <= 1e-10
 
 
 def test_intertwiner_requires_graded_action():
@@ -230,13 +235,13 @@ def test_intertwiner_requires_graded_action():
     home = flipped.homes[0]
     ungraded = np.zeros((4, 4), dtype=complex)
     for (a, b), coeff in flipped.terms.items():
-        mat_a = rep(AlgebraElement(home, {a: 1.0})).entries
-        mat_b = rep(AlgebraElement(home, {b: 1.0})).entries
+        mat_a = rep(AlgebraElement(home, {a: 1.0}))
+        mat_b = rep(AlgebraElement(home, {b: 1.0}))
         ungraded += coeff * np.kron(mat_a, mat_b)
     fac = r_factorisation(PC, lam, mu)
-    dmat = rep_tensor(coproduct(ColouredMapContext(PC, lam, mu, nu), x)).entries
-    rhs = fac.matrix().entries @ dmat @ fac.inverse_matrix().entries
-    assert frobenius_residual(rep_tensor(flipped).entries, rhs) <= 1e-12
+    dmat = rep_tensor(coproduct(ColouredMapContext(PC, lam, mu, nu), x))
+    rhs = fac.matrix() @ dmat @ fac.inverse_matrix()
+    assert frobenius_residual(rep_tensor(flipped), rhs) <= 1e-12
     assert frobenius_residual(ungraded, rhs) > 1e-3
 
 
@@ -249,9 +254,8 @@ def test_hexagons_equal_colours():
 def test_hexagons_over_draws():
     rng = np.random.default_rng(103)
     for point, (c1, c2, c3) in sample_params(107, 50):
-        extra = [c.value for c in draw_colours(rng, point.q, 2)]
-        res1, res2 = check_hexagons(point, c1.value, c2.value, c3.value,
-                                    extra[0], extra[1])
+        extra = draw_colours(rng, point.q, 2)
+        res1, res2 = check_hexagons(point, c1, c2, c3, *extra)
         assert res1 <= 1e-10 and res2 <= 1e-10
 
 
