@@ -1,15 +1,20 @@
 """Complex scalar arithmetic, colour normalisation and parameter sampling.
 
 Every fractional power taken anywhere in the package is routed through
-:func:`cpow`, so a single principal-branch convention governs all modules.
-The deformation parameters live on the immutable ``ParamPoint``.  A colour
-is a plain nonzero complex number, an element of GL(1, C); :func:`as_colour`
-is the one place that coerces and validates it.
+:func:`cpow`, so a single principal-branch convention governs all modules,
+and every scalar coercion through :func:`as_scalar`.  Together they are the
+one hook that sets the working precision: double-precision ``complex`` by
+default, or ``mpmath`` at a raised precision inside
+:func:`working_precision`, which the test suite uses to tell rounding from
+defects.  The deformation parameters live on the immutable ``ParamPoint``.
+A colour is a plain nonzero complex number, an element of GL(1, C);
+:func:`as_colour` is the one place that coerces and validates it.
 """
 
 from __future__ import annotations
 
 import cmath
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -21,7 +26,8 @@ DEFAULT_GUARD = 0.1
 #: hard floor on |q**(2c) - 1| below which a copy's divisions are refused
 SINGULAR_FLOOR = 1e-9
 
-#: coefficients with modulus at or below this are dropped from element maps
+#: coefficients with modulus at or below this are dropped from element maps;
+#: about 45 ulp at double precision, and 10**(2 - dps) inside ``working_precision``
 PRUNE_TOL = 1e-14
 
 #: draws allowed per sampled value before the guard is declared unsatisfiable
@@ -32,6 +38,52 @@ class SingularParameterError(ValueError):
     """A deformation parameter sits too close to the q**2 == 1 singularity."""
 
 
+#: the scalar type and its exp and principal log, set by ``working_precision``
+_SCALAR, _EXP, _LOG = complex, cmath.exp, cmath.log
+
+#: caches of scalars computed at the working precision, emptied when it changes
+_PRECISION_CACHES: list = []
+
+
+def precision_cache(maxsize: int):
+    """``lru_cache`` for a function whose results depend on the working precision."""
+    def decorate(fn):
+        cached = lru_cache(maxsize=maxsize)(fn)
+        _PRECISION_CACHES.append(cached)
+        return cached
+    return decorate
+
+
+def as_scalar(value) -> complex:
+    """Coerce a number to the scalar type of the working precision."""
+    return _SCALAR(value)
+
+
+@contextmanager
+def working_precision(dps: int):
+    """Run the block with ``mpmath`` scalars at ``dps`` significant digits.
+
+    Rebinds the scalar coercion, ``cpow``'s exp and log, and ``PRUNE_TOL``
+    (to 10**(2 - dps)), and empties every ``precision_cache`` on entry and
+    on exit.  Exponents of monomials stay floats: the symbolic layer never
+    evaluates them.  The matrix layer stays on numpy and is not covered.
+    """
+    global _SCALAR, _EXP, _LOG, PRUNE_TOL
+    import mpmath
+
+    saved = (_SCALAR, _EXP, _LOG, PRUNE_TOL, mpmath.mp.dps)
+    mpmath.mp.dps = dps
+    _SCALAR, _EXP, _LOG, PRUNE_TOL = mpmath.mpc, mpmath.exp, mpmath.log, 10.0 ** (2 - dps)
+    for cache in _PRECISION_CACHES:
+        cache.cache_clear()
+    try:
+        yield
+    finally:
+        _SCALAR, _EXP, _LOG, PRUNE_TOL, mpmath.mp.dps = saved
+        for cache in _PRECISION_CACHES:
+            cache.cache_clear()
+
+
 def cpow(base: complex, exponent: complex) -> complex:
     """Principal-branch complex power exp(exponent * Log(base)).
 
@@ -39,19 +91,19 @@ def cpow(base: complex, exponent: complex) -> complex:
     base is rejected: the colour and deformation parameters are drawn from
     the punctured plane, so a vanishing base always signals a usage error.
     """
-    b = complex(base)
+    b = _SCALAR(base)
     if b == 0:
         raise ValueError("cpow: base must be nonzero")
-    return cmath.exp(complex(exponent) * cmath.log(b))
+    return _EXP(_SCALAR(exponent) * _LOG(b))
 
 
 def effective_q_squared(q: complex, colour: complex = 1.0) -> complex:
     """The square q**(2c) of the deformation parameter of the copy with
     colour ``c``, under one global branch choice."""
-    return cpow(q, 2.0 * complex(colour))
+    return cpow(q, 2.0 * _SCALAR(colour))
 
 
-@lru_cache(maxsize=4096)
+@precision_cache(maxsize=4096)
 def _colour_norm_cached(q: complex, nu: complex, guard: float) -> complex:
     denom = effective_q_squared(q) - 1.0
     if abs(denom) < guard:
@@ -69,7 +121,7 @@ def colour_norm(q: complex, nu: complex, guard: float = DEFAULT_GUARD) -> comple
     |q**2 - 1| is below ``guard``; callers serving a ``ParamPoint`` pass its
     guard.
     """
-    return _colour_norm_cached(complex(q), as_colour(nu), guard)
+    return _colour_norm_cached(_SCALAR(q), as_colour(nu), guard)
 
 
 @dataclass(frozen=True)
@@ -87,8 +139,8 @@ class ParamPoint:
     guard: float = field(default=DEFAULT_GUARD, compare=False, repr=False)
 
     def __post_init__(self):
-        q = complex(self.q)
-        s = complex(self.s)
+        q = _SCALAR(self.q)
+        s = _SCALAR(self.s)
         if q == 0 or s == 0:
             raise ValueError("ParamPoint: q and s must be nonzero")
         if abs(q * q - 1.0) < self.guard:
@@ -101,7 +153,7 @@ class ParamPoint:
 
 def as_colour(nu: complex) -> complex:
     """Coerce a colour argument to a validated nonzero complex number."""
-    v = complex(nu)
+    v = _SCALAR(nu)
     if v == 0:
         raise ValueError("colour value must be nonzero")
     return v

@@ -70,8 +70,13 @@ def _scaled_term(m: PBWMonomial, coeff: complex, z_scale: complex,
 
 def _map_monomials(x: AlgebraElement, z_scale: complex, odd_scale: complex,
                    new_home: Home) -> AlgebraElement:
+    """The image of x; its gross is x's times the largest factor applied."""
+    gross = x.gross
+    if gross:
+        gross *= max((abs(_scaled_term(m, 1.0, z_scale, odd_scale)) for m in x.terms),
+                     default=1.0)
     return AlgebraElement(new_home, {m: _scaled_term(m, c, z_scale, odd_scale)
-                                     for m, c in x.terms.items()})
+                                     for m, c in x.terms.items()}, gross)
 
 
 def sigma(nu: complex, x: AlgebraElement) -> AlgebraElement:
@@ -122,9 +127,9 @@ def sigma_pair_slot(lam: complex, mu: complex, t: TensorElement, slot: int) -> T
     The map is even, so no sign arises and the tensor order is kept.
     """
     ratio, odd, target = _pair_scales(lam, mu, t.homes[slot])
-    out = substitute_slot(
+    out, gross = substitute_slot(
         t, slot, lambda m: (((m,), _scaled_term(m, 1.0 + 0j, ratio, odd)),))
-    return TensorElement(t.homes[:slot] + (target,) + t.homes[slot + 1:], out)
+    return TensorElement(t.homes[:slot] + (target,) + t.homes[slot + 1:], out, gross)
 
 
 def _flip_residual(lhs: AlgebraElement, rhs: AlgebraElement) -> tuple[float, float]:

@@ -28,13 +28,12 @@ arbiters for every convention choice made above.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from math import comb
 from typing import NamedTuple
 
 import numpy as np
 
-from .coefficients import ParamPoint, as_colour, colour_norm
+from .coefficients import ParamPoint, as_colour, colour_norm, precision_cache
 from .colour_group import _pair_scales, _scaled_term, sigma_pair, sigma_pair_slot
 from .pbw_algebra import (
     UNIT_MONOMIAL,
@@ -43,7 +42,9 @@ from .pbw_algebra import (
     PBWMonomial,
     TensorElement,
     _check_sign_rule,
+    _exact_monomial,
     _home_mul_data,
+    _largest,
     _mono_mul,
     _mul_terms,
     _twist_negates,
@@ -91,7 +92,7 @@ def _check_input_home(ctx: ColouredMapContext, home: Home, what: str):
         )
 
 
-@lru_cache(maxsize=2048)
+@precision_cache(maxsize=2048)
 def _coproduct_factors(ctx: ColouredMapContext) -> tuple[complex, complex, complex, complex]:
     """Slot colour ratios lam/nu, mu/nu and odd-image scales a_lam/a_nu, a_mu/a_nu."""
     lam, mu, nu = ctx.lam, ctx.mu, ctx.nu
@@ -112,8 +113,8 @@ _ODD_IMAGES = (
 
 def _append_odd(m: PBWMonomial, odd: PBWMonomial) -> PBWMonomial:
     """m times one slot factor of an odd image, which carries no Z or H."""
-    return PBWMonomial(m.z_deg, m.h_deg, m.q_exp + odd.q_exp, m.s_exp + odd.s_exp,
-                       m.plus | odd.plus, m.minus | odd.minus)
+    return _exact_monomial((m.z_deg, m.h_deg, m.q_exp + odd.q_exp, m.s_exp + odd.s_exp,
+                            m.plus | odd.plus, m.minus | odd.minus))
 
 
 def _monomial_coproduct(m: PBWMonomial, rl: complex, rm: complex, a_l: complex, a_m: complex,
@@ -130,7 +131,7 @@ def _monomial_coproduct(m: PBWMonomial, rl: complex, rm: complex, a_l: complex, 
     """
     a, b, qe, se = m.z_deg, m.h_deg, m.q_exp, m.s_exp
     terms = [
-        ((PBWMonomial(k, j, qe, se, 0, 0), PBWMonomial(a - k, b - j, qe, se, 0, 0)),
+        ((_exact_monomial((k, j, qe, se, 0, 0)), _exact_monomial((a - k, b - j, qe, se, 0, 0))),
          comb(a, k) * comb(b, j) * rl ** k * rm ** (a - k))
         for k in range(a + 1) for j in range(b + 1)
     ]
@@ -150,10 +151,18 @@ def coproduct(ctx: ColouredMapContext, x: AlgebraElement) -> TensorElement:
     _check_input_home(ctx, x.home, "coproduct")
     factors = _coproduct_factors(ctx)
     acc: dict[tuple[PBWMonomial, ...], complex] = {}
+    x_gross = x.gross
+    gross = 0.0
     for m, coeff in x.terms.items():
-        for key, c in _monomial_coproduct(m, *factors):
+        image = _monomial_coproduct(m, *factors)
+        for key, c in image:
             acc[key] = acc.get(key, 0j) + coeff * c
-    return TensorElement(ctx.out_homes, acc)
+        # max(|coeff|, x_gross) spelled out: a call to max costs more per term
+        g = abs(coeff)
+        g = (g if g > x_gross else x_gross) * _largest([c for _, c in image])
+        if g > gross:
+            gross = g
+    return TensorElement(ctx.out_homes, acc, gross)
 
 
 def _counit_is_one(m: PBWMonomial) -> bool:
@@ -189,22 +198,28 @@ def _antipode_factors(ctx: ColouredMapContext) -> _AntipodeFactors:
     return _AntipodeFactors(home, -mu / nu, psi_scale, _home_mul_data(home))
 
 
-def _monomial_antipode(m: PBWMonomial, coeff: complex,
-                       factors: _AntipodeFactors) -> dict[PBWMonomial, complex]:
-    """S^mu_nu of ``coeff * m`` for one basis word m = Z^a H^b E (psi+)^e (psi-)^d.
+#: the words q^(-Z) psi+ and q^(-Z) psi- of S(psi+) and S(psi-)
+_S_PLUS = PBWMonomial(0, 0, -1.0, 0j, 1, 0)
+_S_MINUS = PBWMonomial(0, 0, -1.0, 0j, 0, 1)
+
+
+def _monomial_antipode(m: PBWMonomial, factors: _AntipodeFactors,
+                       ) -> tuple[dict[PBWMonomial, complex], float]:
+    """S^mu_nu of one basis word m = Z^a H^b E (psi+)^e (psi-)^d, and its gross.
 
     S(m) = (-1)^(e d) S(psi-)^d S(psi+)^e S(E) S(H)^b S(Z)^a: the even image
     is one monomial, and each odd image is multiplied in on the left.
     """
     _, ratio, psi_scale, inv = factors
     sign = -1.0 if (m.plus and m.minus) else 1.0
-    terms = {PBWMonomial(m.z_deg, m.h_deg, -m.q_exp, -m.s_exp, 0, 0):
-             sign * coeff * ratio ** m.z_deg * (-1.0) ** m.h_deg}
+    c = sign * ratio ** m.z_deg * (-1.0) ** m.h_deg
+    terms = {_exact_monomial((m.z_deg, m.h_deg, -m.q_exp, -m.s_exp, 0, 0)): c}
+    gross = abs(c)
     if m.plus:
-        terms = _mul_terms({PBWMonomial(0, 0, -1.0 + 0j, 0j, 1, 0): psi_scale}, terms, inv)
+        terms, gross = _mul_terms({_S_PLUS: psi_scale}, terms, inv, 0.0, gross)
     if m.minus:
-        terms = _mul_terms({PBWMonomial(0, 0, -1.0 + 0j, 0j, 0, 1): psi_scale}, terms, inv)
-    return terms
+        terms, gross = _mul_terms({_S_MINUS: psi_scale}, terms, inv, 0.0, gross)
+    return terms, gross
 
 
 def antipode(ctx: ColouredMapContext, x: AlgebraElement) -> AlgebraElement:
@@ -212,35 +227,50 @@ def antipode(ctx: ColouredMapContext, x: AlgebraElement) -> AlgebraElement:
     _check_input_home(ctx, x.home, "antipode")
     factors = _antipode_factors(ctx)
     acc: dict[PBWMonomial, complex] = {}
+    x_gross = x.gross
+    gross = 0.0
     for m, coeff in x.terms.items():
-        _accumulate(acc, _monomial_antipode(m, coeff, factors))
-    return AlgebraElement(factors.home, acc)
+        image, image_gross = _monomial_antipode(m, factors)
+        _accumulate(acc, image, coeff)
+        g = abs(coeff)
+        g = (g if g > x_gross else x_gross) * image_gross
+        if g > gross:
+            gross = g
+    return AlgebraElement(factors.home, acc, gross)
 
 
 # ---------------------------------------------------------------------------
 # standard (one-colour) structure maps, kept as an independent reduction oracle
 # ---------------------------------------------------------------------------
 
+#: term maps of the standard D(Z), D(H), D(psi+) and D(psi-), written out
+#: apart from ``_ODD_IMAGES`` and built once
+_STANDARD_Z_IMAGE = {
+    (PBWMonomial(1, 0, 0j, 0j, 0, 0), UNIT_MONOMIAL): 1.0 + 0j,
+    (UNIT_MONOMIAL, PBWMonomial(1, 0, 0j, 0j, 0, 0)): 1.0 + 0j,
+}
+_STANDARD_H_IMAGE = {
+    (PBWMonomial(0, 1, 0j, 0j, 0, 0), UNIT_MONOMIAL): 1.0 + 0j,
+    (UNIT_MONOMIAL, PBWMonomial(0, 1, 0j, 0j, 0, 0)): 1.0 + 0j,
+}
+_STANDARD_PLUS_IMAGE = {
+    (PBWMonomial(0, 0, 0j, 0j, 1, 0), PBWMonomial(0, 0, 1.0 + 0j, -0.5 + 0j, 0, 0)): 1.0 + 0j,
+    (PBWMonomial(0, 0, 0j, 0.5 + 0j, 0, 0), PBWMonomial(0, 0, 0j, 0j, 1, 0)): 1.0 + 0j,
+}
+_STANDARD_MINUS_IMAGE = {
+    (PBWMonomial(0, 0, 0j, 0j, 0, 1), PBWMonomial(0, 0, 1.0 + 0j, 0.5 + 0j, 0, 0)): 1.0 + 0j,
+    (PBWMonomial(0, 0, 0j, -0.5 + 0j, 0, 0), PBWMonomial(0, 0, 0j, 0j, 0, 1)): 1.0 + 0j,
+}
+
+
 def standard_coproduct(p: ParamPoint, x: AlgebraElement) -> TensorElement:
     """The one-colour comultiplication of the root copy, written directly."""
     homes = (Home(p), Home(p))
     acc = TensorElement(homes)
-    z_img = TensorElement(homes, {
-        (PBWMonomial(1, 0, 0j, 0j, 0, 0), UNIT_MONOMIAL): 1.0 + 0j,
-        (UNIT_MONOMIAL, PBWMonomial(1, 0, 0j, 0j, 0, 0)): 1.0 + 0j,
-    })
-    h_img = TensorElement(homes, {
-        (PBWMonomial(0, 1, 0j, 0j, 0, 0), UNIT_MONOMIAL): 1.0 + 0j,
-        (UNIT_MONOMIAL, PBWMonomial(0, 1, 0j, 0j, 0, 0)): 1.0 + 0j,
-    })
-    plus_img = TensorElement(homes, {
-        (PBWMonomial(0, 0, 0j, 0j, 1, 0), PBWMonomial(0, 0, 1.0 + 0j, -0.5 + 0j, 0, 0)): 1.0 + 0j,
-        (PBWMonomial(0, 0, 0j, 0.5 + 0j, 0, 0), PBWMonomial(0, 0, 0j, 0j, 1, 0)): 1.0 + 0j,
-    })
-    minus_img = TensorElement(homes, {
-        (PBWMonomial(0, 0, 0j, 0j, 0, 1), PBWMonomial(0, 0, 1.0 + 0j, 0.5 + 0j, 0, 0)): 1.0 + 0j,
-        (PBWMonomial(0, 0, 0j, -0.5 + 0j, 0, 0), PBWMonomial(0, 0, 0j, 0j, 0, 1)): 1.0 + 0j,
-    })
+    z_img = TensorElement(homes, _STANDARD_Z_IMAGE)
+    h_img = TensorElement(homes, _STANDARD_H_IMAGE)
+    plus_img = TensorElement(homes, _STANDARD_PLUS_IMAGE)
+    minus_img = TensorElement(homes, _STANDARD_MINUS_IMAGE)
     for m, coeff in x.terms.items():
         term = tensor_unit(homes).scaled(coeff)
         for _ in range(m.z_deg):
@@ -281,7 +311,7 @@ def standard_antipode(p: ParamPoint, x: AlgebraElement) -> AlgebraElement:
 # slot application helpers
 # ---------------------------------------------------------------------------
 
-def _accumulate(acc: dict, terms: dict, scale: complex = 1.0 + 0j) -> None:
+def _accumulate(acc: dict, terms: dict, scale: complex) -> None:
     """Add ``scale * terms`` into the term map ``acc`` in place."""
     for key, c in terms.items():
         acc[key] = acc.get(key, 0j) + scale * c
@@ -293,9 +323,9 @@ def _apply_slot_coproduct(t: TensorElement, slot: int, ctx: ColouredMapContext) 
         raise ValueError("_apply_slot_coproduct: start from an order-2 tensor")
     _check_input_home(ctx, t.homes[slot], "coproduct")
     factors = _coproduct_factors(ctx)
-    out = substitute_slot(t, slot, lambda m: _monomial_coproduct(m, *factors))
+    out, gross = substitute_slot(t, slot, lambda m: _monomial_coproduct(m, *factors))
     homes = t.homes[:slot] + ctx.out_homes + t.homes[slot + 1:]
-    return TensorElement(homes, out)
+    return TensorElement(homes, out, gross)
 
 
 _COUNIT_ONE = (((), 1.0),)  # the counit's image of a pure exponential: drop the slot
@@ -303,30 +333,38 @@ _COUNIT_ONE = (((), 1.0),)  # the counit's image of a pure exponential: drop the
 
 def _contract_counit_slot(t: TensorElement, slot: int) -> AlgebraElement:
     """Contract one slot of an order-2 tensor with the coloured counit."""
-    out = substitute_slot(t, slot, lambda m: _COUNIT_ONE if _counit_is_one(m) else ())
-    return AlgebraElement(t.homes[1 - slot], {mono: c for (mono,), c in out.items()})
+    out, gross = substitute_slot(t, slot, lambda m: _COUNIT_ONE if _counit_is_one(m) else ())
+    return AlgebraElement(t.homes[1 - slot], {mono: c for (mono,), c in out.items()}, gross)
 
 
 def _antipode_convolution(t: TensorElement, slot: int, s_factors: _AntipodeFactors,
-                          lam: complex) -> dict[PBWMonomial, complex]:
+                          lam: complex) -> AlgebraElement:
     """m o (S ox s) or m o (s ox S) on an order-2 tensor, one term at a time.
 
     S acts on ``slot`` (``_monomial_antipode``); s = ``sigma_pair(lam, ., .)``
-    acts on the other slot, from that slot's own colour.
+    acts on the other slot, from that slot's own colour.  The result lives
+    in S's target copy.
     """
     other = 1 - slot
     ratio, odd, _ = _pair_scales(lam, t.homes[other].colour, t.homes[other])
     acc: dict[PBWMonomial, complex] = {}
+    t_gross = t.gross
+    gross = 0.0
     for key, coeff in t.terms.items():
-        s_img = _monomial_antipode(key[slot], 1.0 + 0j, s_factors)
+        s_img, s_gross = _monomial_antipode(key[slot], s_factors)
         mono = key[other]
         sigma_img = {mono: _scaled_term(mono, 1.0 + 0j, ratio, odd)}
         if slot == 0:
-            product = _mul_terms(s_img, sigma_img, s_factors.inv_denom)
+            product, product_gross = _mul_terms(s_img, sigma_img, s_factors.inv_denom, s_gross)
         else:
-            product = _mul_terms(sigma_img, s_img, s_factors.inv_denom)
+            product, product_gross = _mul_terms(sigma_img, s_img, s_factors.inv_denom,
+                                                0.0, s_gross)
         _accumulate(acc, product, coeff)
-    return acc
+        g = abs(coeff)
+        g = (g if g > t_gross else t_gross) * product_gross
+        if g > gross:
+            gross = g
+    return AlgebraElement(s_factors.home, acc, gross)
 
 
 # ---------------------------------------------------------------------------
@@ -496,14 +534,12 @@ def verify_antipode_axiom(
         target = unit(out_home).scaled(counit(ColouredMapContext(p, lam, mu, nu), x))
 
         t1 = coproduct(ColouredMapContext(p, lam, mu, nu), x)
-        conv1 = _antipode_convolution(t1, 0, s_left, alpha)
         report.merge("left_convolution",
-                     residual_between(AlgebraElement(out_home, conv1), target))
+                     residual_between(_antipode_convolution(t1, 0, s_left, alpha), target))
 
         t2 = coproduct(ColouredMapContext(p, lam2, mu2, nu), x)
-        conv2 = _antipode_convolution(t2, 1, s_right, alpha)
         report.merge("right_convolution",
-                     residual_between(AlgebraElement(out_home, conv2), target))
+                     residual_between(_antipode_convolution(t2, 1, s_right, alpha), target))
     return report
 
 
@@ -541,15 +577,26 @@ def verify_bialgebra(
         dx, dy = coproducts[id(x)], coproducts[id(y)]
         # (x1 ox x2)(y1 ox y2) = +-(x1 y1 ox x2 y2), the sign from twisting x2 past y1
         rhs: dict[tuple[PBWMonomial, ...], complex] = {}
+        gross = 0.0
+        dx_gross, dy_gross = dx.gross, dy.gross
+        dy_bounded = [(y1, y2, cy, a if (a := abs(cy)) > dy_gross else dy_gross)
+                      for (y1, y2), cy in dy.terms.items()]
         for (x1, x2), cx in dx.terms.items():
-            for (y1, y2), cy in dy.terms.items():
+            bx = abs(cx)
+            if bx < dx_gross:
+                bx = dx_gross
+            for y1, y2, cy, by in dy_bounded:
                 cxy = -(cx * cy) if _twist_negates(x2, y1, twist_sign) else cx * cy
-                right = _mono_mul(x2, y2, right_inv)
-                for left, cl in _mono_mul(x1, y1, left_inv):
-                    for r, cr in right:
-                        rhs[(left, r)] = rhs.get((left, r), 0j) + cxy * (cl * cr)
+                right, right_largest = _mono_mul(x2, y2, right_inv)
+                left, left_largest = _mono_mul(x1, y1, left_inv)
+                for l_mono, cl in left:
+                    for r_mono, cr in right:
+                        rhs[(l_mono, r_mono)] = rhs.get((l_mono, r_mono), 0j) + cxy * (cl * cr)
+                g = bx * by * left_largest * right_largest
+                if g > gross:
+                    gross = g
         report.merge("coproduct_of_product",
-                     residual_between(lhs, TensorElement(homes, rhs)))
+                     residual_between(lhs, TensorElement(homes, rhs, gross)))
 
         e_lhs = counit(ctx, xy)
         e_rhs = counit(ctx, x) * counit(ctx, y)

@@ -18,6 +18,18 @@ q**(alpha Z) s**(beta Z) on that copy stands for q**(c alpha Z) s**(c beta Z)
 at the root.  So the colour maps and the coloured comultiplication and
 counit keep exponents as they are, the antipode negates them, and only the
 representation evaluates the unit.
+
+Exponents are exact keys.  The public ``PBWMonomial`` constructor snaps
+each exponent to the dyadic grid 2**-40 and rejects non-finite values and
+real or imaginary parts of modulus 2**11 or more.  Every internal monomial
+is built from sums and negations of grid values, which are exact in double
+precision while they stay below 2**13, so two routes to one monomial reach
+it under one key and ``residual_between`` is a plain dict difference.
+
+Every element carries ``gross``, the largest modulus of any single term
+summed into any of its coefficients on the route that built it; each
+coefficient is then exact up to a few units of rounding times ``gross``,
+and ``residual_between`` divides by it (README, "Residuals").
 """
 
 from __future__ import annotations
@@ -25,30 +37,54 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import partial
 from typing import NamedTuple
 
+from . import coefficients
 from .coefficients import (
-    PRUNE_TOL,
     SINGULAR_FLOOR,
     ParamPoint,
     SingularParameterError,
+    as_scalar,
     effective_q_squared,
+    precision_cache,
 )
 
-#: keys whose exponents differ by less than this (abs + rel) are one monomial
-_KEY_MERGE_TOL = 1e-8
+#: exponents are snapped to multiples of this
+_EXP_GRID = 2.0 ** -40
+#: exponents need |Re| and |Im| below this, so sums of a few stay exact
+_EXP_BOUND = 2.0 ** 11
 
 
-class PBWMonomial(NamedTuple):
-    """A normal-ordered basis word Z^a H^b q^(aZ) s^(bZ) (psi+)^e (psi-)^d."""
+def _snap(value: complex) -> complex:
+    """An exponent on the dyadic grid; non-finite or out-of-range values raise."""
+    z = complex(value)
+    if not (abs(z.real) < _EXP_BOUND and abs(z.imag) < _EXP_BOUND):
+        raise ValueError(f"PBWMonomial: exponent {value!r} needs finite parts of "
+                         f"modulus below {_EXP_BOUND:g}")
+    return complex(round(z.real / _EXP_GRID) * _EXP_GRID, round(z.imag / _EXP_GRID) * _EXP_GRID)
 
+
+class _MonomialFields(NamedTuple):
     z_deg: int
     h_deg: int
     q_exp: complex
     s_exp: complex
     plus: int
     minus: int
+
+
+class PBWMonomial(_MonomialFields):
+    """A normal-ordered basis word Z^a H^b q^(aZ) s^(bZ) (psi+)^e (psi-)^d.
+
+    The constructor snaps both exponents to the grid (module docstring).
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, z_deg: int, h_deg: int, q_exp: complex, s_exp: complex,
+                plus: int, minus: int):
+        return tuple.__new__(cls, (z_deg, h_deg, _snap(q_exp), _snap(s_exp), plus, minus))
 
     @property
     def parity(self) -> int:
@@ -75,6 +111,10 @@ class PBWMonomial(NamedTuple):
         return " ".join(parts) if parts else "1"
 
 
+#: builds a monomial from one tuple of fields whose exponents are sums or
+#: negations of grid values, so already exact, without the constructor's checks
+_exact_monomial = partial(tuple.__new__, PBWMonomial)
+
 UNIT_MONOMIAL = PBWMonomial(0, 0, 0j, 0j, 0, 0)
 Z_MONOMIAL = PBWMonomial(1, 0, 0j, 0j, 0, 0)
 H_MONOMIAL = PBWMonomial(0, 1, 0j, 0j, 0, 0)
@@ -99,7 +139,7 @@ class Home:
         return effective_q_squared(self.point.q, self.colour)
 
     def shifted(self, factor: complex) -> "Home":
-        return Home(self.point, self.colour * complex(factor))
+        return Home(self.point, self.colour * as_scalar(factor))
 
 
 def homes_close(a: Home, b: Home, rtol: float = 1e-9) -> bool:
@@ -115,30 +155,49 @@ def _require_same_home(a: Home, b: Home, what: str):
         raise ValueError(f"{what}: operands live in different copies ({a} vs {b})")
 
 
+def _pruned(terms: dict | None) -> dict:
+    """The terms above ``PRUNE_TOL`` in modulus; a NaN coefficient is kept."""
+    if not terms:
+        return {}
+    tol = coefficients.PRUNE_TOL
+    return {key: c for key, c in terms.items() if not abs(c) <= tol}
+
+
+def _largest(coeffs) -> float:
+    """Largest modulus among ``coeffs``, 0 for none."""
+    return max(map(abs, coeffs), default=0.0)
+
+
+def _sum_terms(a: dict, b: dict) -> tuple[dict, float]:
+    """The term map a + b, and its gross: the largest coefficient of either."""
+    acc = dict(a)
+    for key, coeff in b.items():
+        acc[key] = acc.get(key, 0j) + coeff
+    return acc, max(_largest(a.values()), _largest(b.values()))
+
+
 class AlgebraElement:
     """A finite complex-linear combination of PBW monomials.
 
     Term maps are pruned at ``PRUNE_TOL`` on construction; addition and
-    scalar multiplication are componentwise.  Instances are treated as
-    immutable values.
+    scalar multiplication are componentwise.  ``gross`` is the largest
+    modulus of a term summed into a coefficient on the route that built the
+    element (module docstring); an element built from given terms has 0.
+    Instances are treated as immutable values.
     """
 
-    __slots__ = ("home", "terms")
+    __slots__ = ("home", "terms", "gross")
 
-    def __init__(self, home: Home, terms: dict[PBWMonomial, complex] | None = None):
+    def __init__(self, home: Home, terms: dict[PBWMonomial, complex] | None = None,
+                 gross: float = 0.0):
         self.home = home
-        self.terms: dict[PBWMonomial, complex] = {}
-        if terms:
-            for mono, coeff in terms.items():
-                if abs(coeff) > PRUNE_TOL:
-                    self.terms[mono] = coeff
+        self.terms: dict[PBWMonomial, complex] = _pruned(terms)
+        self.gross = gross
 
     def __add__(self, other: "AlgebraElement") -> "AlgebraElement":
         _require_same_home(self.home, other.home, "add")
-        acc = dict(self.terms)
-        for mono, coeff in other.terms.items():
-            acc[mono] = acc.get(mono, 0j) + coeff
-        return AlgebraElement(self.home, acc)
+        acc, gross = _sum_terms(self.terms, other.terms)
+        return AlgebraElement(self.home, acc, max(gross, self.gross, other.gross))
 
     def __sub__(self, other: "AlgebraElement") -> "AlgebraElement":
         return self + (-other)
@@ -155,14 +214,15 @@ class AlgebraElement:
         return self.scaled(scalar)
 
     def scaled(self, scalar: complex) -> "AlgebraElement":
-        c = complex(scalar)
-        return AlgebraElement(self.home, {m: c * v for m, v in self.terms.items()})
+        c = as_scalar(scalar)
+        return AlgebraElement(self.home, {m: c * v for m, v in self.terms.items()},
+                              self.gross * abs(c))
 
     def max_abs_coeff(self) -> float:
-        return max((abs(c) for c in self.terms.values()), default=0.0)
+        return _largest(self.terms.values())
 
-    def is_zero(self, tol: float = PRUNE_TOL) -> bool:
-        return self.max_abs_coeff() <= tol
+    def is_zero(self, tol: float | None = None) -> bool:
+        return self.max_abs_coeff() <= (coefficients.PRUNE_TOL if tol is None else tol)
 
     def __repr__(self):
         if not self.terms:
@@ -201,10 +261,11 @@ def relation_element(home: Home) -> AlgebraElement:
                                  UNIT_MONOMIAL: -inv})
 
 
-def _mono_mul(m1: PBWMonomial, m2: PBWMonomial,
-              inv_denom: complex | None) -> list[tuple[PBWMonomial, complex]]:
+def _mono_mul(m1: PBWMonomial, m2: PBWMonomial, inv_denom: complex | None,
+              ) -> tuple[list[tuple[PBWMonomial, complex]], float]:
     """Straighten the concatenation of two basis words into normal form.
 
+    Returns the terms and the largest modulus among their coefficients.
     ``inv_denom`` is 1/(q**(2c) - 1) for the home copy, or None when the
     copy is too singular for the anticommutator rewrite (only an error if
     that rewrite is actually needed).
@@ -215,12 +276,14 @@ def _mono_mul(m1: PBWMonomial, m2: PBWMonomial,
     # psi word (psi+)^e1 (psi-)^d1 (psi+)^e2 (psi-)^d2 -> normal form
     if d1 == 0:
         if e1 and e2:
-            return []
+            return [], 0.0
         psi_terms = [(e1 | e2, d2, 0j, 1.0 + 0j)]
+        largest = 1.0
     elif e2 == 0:
         if d2:
-            return []
+            return [], 0.0
         psi_terms = [(e1, 1, 0j, 1.0 + 0j)]
+        largest = 1.0
     else:
         # psi- psi+ = (q_c**(2Z) - 1)/(q_c**2 - 1) - psi+ psi-
         if inv_denom is None:
@@ -228,8 +291,10 @@ def _mono_mul(m1: PBWMonomial, m2: PBWMonomial,
                 "multiply: anticommutator rewrite needs |q**(2c) - 1| bounded away from 0"
             )
         psi_terms = [(e1, d2, 2.0 + 0j, inv_denom), (e1, d2, 0j, -inv_denom)]
+        largest = abs(inv_denom)
         if e1 == 0 and d2 == 0:
             psi_terms.append((1, 1, 0j, -1.0 + 0j))
+            largest = max(largest, 1.0)
 
     # moving H^b2 left past m1's psi part shifts H by 2(d1 - e1)
     shift = 2 * (d1 - e1)
@@ -241,18 +306,19 @@ def _mono_mul(m1: PBWMonomial, m2: PBWMonomial,
             (m1.h_deg + k, complex(math.comb(b2, k) * shift ** (b2 - k)))
             for k in range(b2 + 1)
         ]
+        largest *= _largest([hc for _, hc in h_terms])
 
     z = m1.z_deg + m2.z_deg
     qe = m1.q_exp + m2.q_exp
     se = m1.s_exp + m2.s_exp
     return [
-        (PBWMonomial(z, h, qe + extra_q, se, pl, mi), hc * pc)
+        (_exact_monomial((z, h, qe + extra_q, se, pl, mi)), hc * pc)
         for h, hc in h_terms
         for pl, mi, extra_q, pc in psi_terms
-    ]
+    ], largest
 
 
-@lru_cache(maxsize=4096)
+@precision_cache(maxsize=4096)
 def _home_mul_data(home: Home) -> complex | None:
     """1/(q**(2c) - 1) of the copy, or None when it is too singular."""
     denom = home.effective_q_squared() - 1.0
@@ -260,27 +326,45 @@ def _home_mul_data(home: Home) -> complex | None:
 
 
 def _mul_terms(xs: dict[PBWMonomial, complex], ys: dict[PBWMonomial, complex],
-               inv_denom: complex | None) -> dict[PBWMonomial, complex]:
-    """Product of two term maps of one copy (``_home_mul_data``), unpruned."""
+               inv_denom: complex | None, x_gross: float = 0.0, y_gross: float = 0.0,
+               ) -> tuple[dict[PBWMonomial, complex], float]:
+    """Product of two term maps of one copy (``_home_mul_data``), unpruned,
+    and its gross, given the grosses of the factors.
+
+    A term c1 c2 f counts with max(|c1|, x_gross) max(|c2|, y_gross) |f|,
+    which also bounds the rounding its two factors bring in.
+    """
     acc: dict[PBWMonomial, complex] = {}
+    gross = 0.0
+    # max(|c|, gross) as a conditional: a call to max costs more in this loop
+    ys_bounded = [(m2, c2, a if (a := abs(c2)) > y_gross else y_gross)
+                  for m2, c2 in ys.items()]
     for m1, c1 in xs.items():
-        for m2, c2 in ys.items():
+        b1 = abs(c1)
+        if b1 < x_gross:
+            b1 = x_gross
+        for m2, c2, b2 in ys_bounded:
             c12 = c1 * c2
-            for mono, coeff in _mono_mul(m1, m2, inv_denom):
+            products, largest = _mono_mul(m1, m2, inv_denom)
+            for mono, coeff in products:
                 acc[mono] = acc.get(mono, 0j) + c12 * coeff
-    return acc
+            g = b1 * b2 * largest
+            if g > gross:
+                gross = g
+    return acc, gross
 
 
 def multiply(x: AlgebraElement, y: AlgebraElement) -> AlgebraElement:
     """Product in the home copy, straightened to PBW normal form."""
     _require_same_home(x.home, y.home, "multiply")
-    return AlgebraElement(x.home, _mul_terms(x.terms, y.terms, _home_mul_data(x.home)))
+    terms, gross = _mul_terms(x.terms, y.terms, _home_mul_data(x.home), x.gross, y.gross)
+    return AlgebraElement(x.home, terms, gross)
 
 
 def grading_automorphism(x: AlgebraElement) -> AlgebraElement:
     """Scale each homogeneous term by (-1)**parity."""
     return AlgebraElement(
-        x.home, {m: (-c if m.parity else c) for m, c in x.terms.items()}
+        x.home, {m: (-c if m.parity else c) for m, c in x.terms.items()}, x.gross
     )
 
 
@@ -292,18 +376,16 @@ class TensorElement:
     slots by associativity.
     """
 
-    __slots__ = ("homes", "terms")
+    __slots__ = ("homes", "terms", "gross")
 
     def __init__(self, homes: tuple[Home, ...],
-                 terms: dict[tuple[PBWMonomial, ...], complex] | None = None):
+                 terms: dict[tuple[PBWMonomial, ...], complex] | None = None,
+                 gross: float = 0.0):
         if len(homes) not in (2, 3):
             raise ValueError("TensorElement: order must be 2 or 3")
         self.homes = tuple(homes)
-        self.terms: dict[tuple[PBWMonomial, ...], complex] = {}
-        if terms:
-            for key, coeff in terms.items():
-                if abs(coeff) > PRUNE_TOL:
-                    self.terms[key] = coeff
+        self.terms: dict[tuple[PBWMonomial, ...], complex] = _pruned(terms)
+        self.gross = gross
 
     @property
     def order(self) -> int:
@@ -311,10 +393,8 @@ class TensorElement:
 
     def __add__(self, other: "TensorElement") -> "TensorElement":
         self._check_compatible(other, "add")
-        acc = dict(self.terms)
-        for key, coeff in other.terms.items():
-            acc[key] = acc.get(key, 0j) + coeff
-        return TensorElement(self.homes, acc)
+        acc, gross = _sum_terms(self.terms, other.terms)
+        return TensorElement(self.homes, acc, max(gross, self.gross, other.gross))
 
     def __sub__(self, other: "TensorElement") -> "TensorElement":
         return self + other.scaled(-1.0)
@@ -331,11 +411,12 @@ class TensorElement:
         return self.scaled(scalar)
 
     def scaled(self, scalar: complex) -> "TensorElement":
-        c = complex(scalar)
-        return TensorElement(self.homes, {k: c * v for k, v in self.terms.items()})
+        c = as_scalar(scalar)
+        return TensorElement(self.homes, {k: c * v for k, v in self.terms.items()},
+                             self.gross * abs(c))
 
     def max_abs_coeff(self) -> float:
-        return max((abs(c) for c in self.terms.values()), default=0.0)
+        return _largest(self.terms.values())
 
     def _check_compatible(self, other: "TensorElement", what: str):
         if self.homes is other.homes:
@@ -372,30 +453,39 @@ def tensor_concat(*parts: AlgebraElement | TensorElement) -> TensorElement:
         for _, c in combo:
             coeff *= c
         out[key] = out.get(key, 0j) + coeff
-    return TensorElement(tuple(homes), out)
+    gross = math.prod(max(p.max_abs_coeff(), p.gross) for p in parts)
+    return TensorElement(tuple(homes), out, gross)
 
 
 def substitute_slot(t: TensorElement, slot: int, image
-                    ) -> dict[tuple[PBWMonomial, ...], complex]:
+                    ) -> tuple[dict[tuple[PBWMonomial, ...], complex], float]:
     """Replace the monomial in ``slot`` of every term of t by its image.
 
     ``image(m)`` returns a sequence of (monomial tuple, coefficient) pairs;
     a tuple of length 0, 1 or 2 drops, maps or splits the slot.  The map
     must be even, so no sign arises.  Each distinct slot monomial is mapped
-    once.  Returns the unpruned term map, for the caller to wrap with the
-    homes of the result.
+    once, with the largest modulus of its image.  Returns the unpruned term
+    map and its gross, for the caller to wrap with the homes of the result.
     """
-    images: dict[PBWMonomial, list] = {}
+    images: dict[PBWMonomial, tuple[list, float]] = {}
     out: dict[tuple[PBWMonomial, ...], complex] = {}
+    t_gross = t.gross
+    gross = 0.0
     for key, coeff in t.terms.items():
         m = key[slot]
-        pairs = images.get(m)
-        if pairs is None:
-            pairs = images[m] = image(m)
+        cached = images.get(m)
+        if cached is None:
+            pairs = image(m)
+            cached = images[m] = (pairs, _largest([c for _, c in pairs]))
+        pairs, largest = cached
+        g = abs(coeff)
+        g = (g if g > t_gross else t_gross) * largest  # max() is slower here
+        if g > gross:
+            gross = g
         for monos, c in pairs:
             new_key = key[:slot] + monos + key[slot + 1:]
             out[new_key] = out.get(new_key, 0j) + coeff * c
-    return out
+    return out, gross
 
 
 def tensor_unit(homes: tuple[Home, ...]) -> TensorElement:
@@ -407,7 +497,9 @@ def tensor_multiply(u: TensorElement, v: TensorElement) -> TensorElement:
     u._check_compatible(v, "tensor_multiply")
     slot_inv = [_home_mul_data(h) for h in u.homes]
     acc: dict[tuple[PBWMonomial, ...], complex] = {}
+    gross = 0.0
     for mk, cu in u.terms.items():
+        bu = max(abs(cu), u.gross)
         for nk, cv in v.terms.items():
             # sign: each factor of v crosses the u factors to its slot's right
             if u.order == 2:
@@ -418,16 +510,20 @@ def tensor_multiply(u: TensorElement, v: TensorElement) -> TensorElement:
                     + nk[1].parity * mk[2].parity
                 )
             coeff = cu * cv * (-1.0 if sign_exp & 1 else 1.0)
-            slot_products = [
-                _mono_mul(m, n, slot_inv[i]) for i, (m, n) in enumerate(zip(mk, nk))
-            ]
+            bound = bu * max(abs(cv), v.gross)
+            slot_products = []
+            for i, (m, n) in enumerate(zip(mk, nk)):
+                products, largest = _mono_mul(m, n, slot_inv[i])
+                slot_products.append(products)
+                bound *= largest
             for combo in itertools.product(*slot_products):
                 key = tuple(m for m, _ in combo)
                 c = coeff
                 for _, f in combo:
                     c *= f
                 acc[key] = acc.get(key, 0j) + c
-    return TensorElement(u.homes, acc)
+            gross = max(gross, bound)
+    return TensorElement(u.homes, acc, gross)
 
 
 def _check_sign_rule(sign_rule: str, what: str) -> None:
@@ -459,73 +555,29 @@ def graded_twist(u: TensorElement, sign_rule: str = "product") -> TensorElement:
     for (a, b), coeff in u.terms.items():
         signed = -coeff if _twist_negates(a, b, sign_rule) else coeff
         out[(b, a)] = out.get((b, a), 0j) + signed
-    return TensorElement((u.homes[1], u.homes[0]), out)
+    return TensorElement((u.homes[1], u.homes[0]), out, u.gross)
 
 
 # ---------------------------------------------------------------------------
-# tolerance-based comparison
+# comparison
 # ---------------------------------------------------------------------------
-
-def _as_term_tuples(x) -> dict[tuple[PBWMonomial, ...], complex]:
-    if isinstance(x, AlgebraElement):
-        return {(m,): c for m, c in x.terms.items()}
-    return dict(x.terms)
-
-
-def _discrete_signature(key: tuple[PBWMonomial, ...]):
-    return tuple((m.z_deg, m.h_deg, m.plus, m.minus) for m in key)
-
-
-def _exp_vector(key: tuple[PBWMonomial, ...]) -> tuple[complex, ...]:
-    return tuple(itertools.chain.from_iterable((m.q_exp, m.s_exp) for m in key))
-
-
-def _vectors_close(a: tuple[complex, ...], b: tuple[complex, ...]) -> bool:
-    for x, y in zip(a, b):
-        if abs(x - y) > _KEY_MERGE_TOL * (1.0 + max(abs(x), abs(y))):
-            return False
-    return True
-
-
-def _cluster_max(diff: dict[tuple[PBWMonomial, ...], complex]) -> float:
-    """Largest coefficient after merging keys that differ only by float noise
-    in their exponents.  Two runs of the same computation may produce the
-    exponent of one true monomial via different arithmetic orderings."""
-    groups: dict[tuple, list[list]] = {}
-    for key, coeff in diff.items():
-        sig = _discrete_signature(key)
-        vec = _exp_vector(key)
-        clusters = groups.setdefault(sig, [])
-        for cluster in clusters:
-            if _vectors_close(cluster[0], vec):
-                cluster[1] += coeff
-                break
-        else:
-            clusters.append([vec, coeff])
-    worst = 0.0
-    for clusters in groups.values():
-        for _, total in clusters:
-            worst = max(worst, abs(total))
-    return worst
-
 
 def residual_between(x, y) -> float:
     """Normalised distance between two elements of the same kind.
 
-    Max coefficient of the clustered difference divided by
-    max(1, largest coefficient modulus of either operand).
+    The largest coefficient modulus of x - y, key by key, divided by
+    max(1, largest coefficient modulus of either operand, x.gross, y.gross).
+    A NaN coefficient makes the residual NaN.
     """
-    tx = _as_term_tuples(x)
-    ty = _as_term_tuples(y)
-    diff = dict(tx)
-    for key, coeff in ty.items():
+    diff = dict(x.terms)
+    for key, coeff in y.terms.items():
         diff[key] = diff.get(key, 0j) - coeff
-    scale = max(
-        1.0,
-        max((abs(c) for c in tx.values()), default=0.0),
-        max((abs(c) for c in ty.values()), default=0.0),
-    )
-    return _cluster_max(diff) / scale
+    moduli = [abs(c) for c in diff.values()]
+    if math.isnan(sum(moduli)):
+        return math.nan
+    scale = max(1.0, _largest(x.terms.values()), _largest(y.terms.values()),
+                x.gross, y.gross)
+    return max(moduli, default=0.0) / scale
 
 
 def equal_upto_tol(x, y, tol: float) -> tuple[bool, float]:

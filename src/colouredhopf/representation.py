@@ -172,16 +172,18 @@ _H_DIAG = np.array([1.0, -1.0])
 _HZ_4 = np.repeat(_H_DIAG, 2)    # H ox Z eigenvalues on the tensor square
 _ZH_4 = np.tile(_H_DIAG, 2)      # Z ox H eigenvalues
 
+#: the words s^(-Z/2) psi+ and s^(-Z/2) q^(-Z) psi- of the bracket term, on their own copies
+_BRACKET_LEFT = PBWMonomial(0, 0, 0j, -0.5 + 0j, 1, 0)
+_BRACKET_RIGHT = PBWMonomial(0, 0, -1.0 + 0j, -0.5 + 0j, 0, 1)
+
 
 def r_bracket_factors(p: ParamPoint, lam: complex, mu: complex
                       ) -> tuple[complex, AlgebraElement, AlgebraElement]:
     """Coefficient and algebra factors of the R-matrix bracket term."""
     q = p.q
     coeff = -(q * q - 1.0) * colour_norm(q, lam, p.guard) * colour_norm(q, mu, p.guard)
-    left = AlgebraElement(Home(p, lam),
-                          {PBWMonomial(0, 0, 0j, -0.5 + 0j, 1, 0): 1.0 + 0j})
-    right = AlgebraElement(Home(p, mu),
-                           {PBWMonomial(0, 0, -1.0 + 0j, -0.5 + 0j, 0, 1): 1.0 + 0j})
+    left = AlgebraElement(Home(p, lam), {_BRACKET_LEFT: 1.0 + 0j})
+    right = AlgebraElement(Home(p, mu), {_BRACKET_RIGHT: 1.0 + 0j})
     return coeff, left, right
 
 

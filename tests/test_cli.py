@@ -76,6 +76,14 @@ def test_verify_writes_output_file(tmp_path, capsys):
     assert capsys.readouterr().out == ""
 
 
+def test_verify_passes_at_seed_5674():
+    """Seed 5674's draw cancels antipode terms near 2e5 on the bare word
+    psi+ psi-; scaled without the gross of those terms, rounding alone read
+    antipode_axiom 1.18e-10 there, above its 1e-10 gate."""
+    report = run_verification(5674, 1)
+    assert report["pass"], [(c["name"], c["max_residual"]) for c in report["checks"]]
+
+
 def test_run_verification_tolerance_override_only_affects_named_check():
     report = run_verification(seed=3, draws=2, tolerances={"hexagons": 2.0})
     hexagons = next(c for c in report["checks"] if c["name"] == "hexagons")

@@ -15,7 +15,6 @@ from colouredhopf.coloured_hopf import (
     ColouredMapContext,
     _coproduct_factors,
     antipode,
-    basis_probes,
     coproduct,
     counit,
     random_probe,
@@ -302,18 +301,20 @@ def test_verify_draws_probe_every_degree2_word_bare_and_labelled():
 
 def test_probe_verifiers_hold_on_every_word_of_degree_4(monkeypatch):
     """The four probe checks on all 82 words of degree <= 4 (41 shapes, bare
-    and labelled), the range of the deep-probe benchmark, at the colours of
-    the first 3 seed-0 verify draws, each at or below its verify tolerance.
+    and labelled), the range of the deep-probe benchmark, on the first 3
+    seed-0 verify draws of the widened stream, each at or below its verify
+    tolerance.
 
-    The draws are taken before the shape list grows: more labels per draw
-    would shift the colours of every later draw in the verify stream.
+    The shape list grows before the draws are taken, so the draws are the
+    verify stream's own: more labels per draw shift the colours of every
+    later draw.  Draw 1 of this stream holds Z^2 psi+ psi- at colours where
+    the antipode convolution cancels terms near 1e5; scaled without the
+    gross of those terms, rounding alone read antipode_axiom 5.2e-10 there.
     """
-    draws = list(_draws(0, 3, DEFAULT_GUARD))
     shapes = [(z, h, e, d) for z in range(5) for h in range(5) for e in range(2)
               for d in range(2) if 0 < z + h + e + d <= 4]
     monkeypatch.setattr(coloured_hopf, "_DEGREE2_SHAPES", shapes)
-    rng = np.random.default_rng(0)
-    deep = [d._replace(probes=basis_probes(d.point, d.nu, rng)) for d in draws]
+    deep = list(_draws(0, 3, DEFAULT_GUARD))
     assert all(len(d.probes) == 82 for d in deep)
     checks = {c.name: c for c in CHECKS}
     for name in ("colour_transformations", "coassociativity", "counit_axiom", "antipode_axiom"):
@@ -334,7 +335,7 @@ def _assert_far_above_tolerance(*names):
 def test_dropped_koszul_sign_is_caught(monkeypatch):
     """Planting the closed form without its one Koszul sign (psi+ in slot 2,
     psi- in slot 1) must fail antipode_axiom, bialgebra and reduction by far:
-    over the 5 draws they reach 2.0, 1.78 and 2.0.
+    over the 5 draws they reach 1.0, 1.58 and 2.0.
 
     Not every check sees this plant: at seed 0 with 5 draws,
     coassociativity and relation_preservation (and colour_transformations
@@ -350,6 +351,47 @@ def test_dropped_koszul_sign_is_caught(monkeypatch):
 
     monkeypatch.setattr(coloured_hopf, "_monomial_coproduct", unsigned)
     _assert_far_above_tolerance("antipode_axiom", "bialgebra", "reduction")
+
+
+def test_swapped_odd_normalisations_are_caught(monkeypatch):
+    """Planting a_mu/a_nu for a_lam/a_nu, and the reverse, in
+    ``_coproduct_factors`` must fail the six checks that take coproducts at
+    general colours: over the 5 draws colour_transformations,
+    coassociativity, counit_axiom, antipode_axiom, bialgebra and
+    relation_preservation reach 1.56, 1.15, 1.67, 1.0, 0.99 and 1.0.
+
+    reduction runs at colour 1, where a_lam = a_mu and the swap does nothing.
+    """
+    original = coloured_hopf._coproduct_factors
+
+    def swapped(ctx):
+        rl, rm, a_l, a_m = original(ctx)
+        return rl, rm, a_m, a_l
+
+    monkeypatch.setattr(coloured_hopf, "_coproduct_factors", swapped)
+    _assert_far_above_tolerance("colour_transformations", "coassociativity", "counit_axiom",
+                                "antipode_axiom", "bialgebra", "relation_preservation")
+
+
+def test_shifted_odd_image_exponent_is_caught(monkeypatch):
+    """Planting q^(Z) s^(-Z/2) of D(psi+) with 1e-9 added to its q exponent
+    must fail antipode_axiom, bialgebra, relation_preservation and reduction
+    by far: over the 5 draws they reach 0.96, 0.62, 0.62 and 1.0.
+
+    Exact exponent keys see the plant: its terms land under keys that no
+    other route reaches.  Keys merged within a float tolerance hid it, and
+    every check stayed at rounding level.  Both routes of
+    colour_transformations, coassociativity and counit_axiom take the same
+    planted image, so they do not see it.
+    """
+    (lam_term, mu_term), minus_images = coloured_hopf._ODD_IMAGES
+    left, right = lam_term
+    shifted = PBWMonomial(right.z_deg, right.h_deg, right.q_exp + 1e-9, right.s_exp,
+                          right.plus, right.minus)
+    monkeypatch.setattr(coloured_hopf, "_ODD_IMAGES",
+                        (((left, shifted), mu_term), minus_images))
+    _assert_far_above_tolerance("antipode_axiom", "bialgebra", "relation_preservation",
+                                "reduction")
 
 
 def _multiplicative_antipode(ctx, x):
@@ -413,8 +455,11 @@ def test_dropped_antipode_sign_is_caught(monkeypatch):
     """
     original = coloured_hopf._monomial_antipode
 
-    def unsigned(m, coeff, factors):
-        return original(m, -coeff if m.plus and m.minus else coeff, factors)
+    def unsigned(m, factors):
+        terms, gross = original(m, factors)
+        if m.plus and m.minus:
+            terms = {k: -c for k, c in terms.items()}
+        return terms, gross
 
     monkeypatch.setattr(coloured_hopf, "_monomial_antipode", unsigned)
     _assert_far_above_tolerance("antipode_axiom", "reduction")

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -5,6 +7,7 @@ from colouredhopf.coefficients import ParamPoint, sample_params
 from colouredhopf.pbw_algebra import (
     PBWMonomial,
     UNIT_MONOMIAL,
+    Z_MONOMIAL,
     AlgebraElement,
     Home,
     TensorElement,
@@ -236,14 +239,51 @@ def test_equal_upto_tol_pruned_zero():
     assert ok and res == 0.0
 
 
-def test_equal_upto_tol_merges_float_noise_keys():
-    # one true monomial reached through two arithmetic routes
-    e1 = (0.1 + 0.2j) * 3.0
-    e2 = 0.1 * 3.0 + 0.2j * 3.0
-    a = AlgebraElement(HOME, {PBWMonomial(0, 0, e1, 0j, 0, 0): 1.0})
-    b = AlgebraElement(HOME, {PBWMonomial(0, 0, e2, 0j, 0, 0): 1.0})
-    ok, res = equal_upto_tol(a, b, 1e-12)
-    assert ok, res
+def test_constructor_snaps_float_noise_to_one_key():
+    # one true exponent reached through two arithmetic routes
+    e1 = (0.1 + 0.2) + 0.7j
+    e2 = 0.3 + 0.7j
+    assert e1 != e2
+    a = PBWMonomial(0, 0, e1, 0j, 0, 0)
+    b = PBWMonomial(0, 0, 0j, e2, 0, 0)
+    assert a.q_exp == b.s_exp
+    assert abs(a.q_exp - e1) <= 2.0 ** -41 * 2 ** 0.5
+    assert (a.q_exp.real * 2 ** 40).is_integer() and (a.q_exp.imag * 2 ** 40).is_integer()
+    x = AlgebraElement(HOME, {a: 1.0})
+    y = AlgebraElement(HOME, {PBWMonomial(0, 0, e2, 0j, 0, 0): 1.0})
+    assert set(x.terms) == set(y.terms)
+    assert residual_between(x, y) == 0.0
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), complex(0.0, float("-inf")),
+                                 2.0 ** 11, complex(0.5, -2.0 ** 11)])
+def test_constructor_rejects_non_finite_and_out_of_range_exponents(bad):
+    with pytest.raises(ValueError):
+        PBWMonomial(0, 0, bad, 0j, 0, 0)
+    with pytest.raises(ValueError):
+        PBWMonomial(0, 0, 0j, bad, 0, 0)
+    PBWMonomial(0, 0, 2.0 ** 11 - 1.0, -(2.0 ** 11 - 1.0), 0, 0)  # just inside the range
+
+
+def test_residual_between_is_nan_on_a_nan_coefficient():
+    clean = unit(HOME) + z_gen(HOME)
+    poisoned = AlgebraElement(HOME, {UNIT_MONOMIAL: 1.0, Z_MONOMIAL: complex("nan")})
+    assert math.isnan(residual_between(poisoned, clean))
+    assert math.isnan(residual_between(clean, poisoned))
+    ok, res = equal_upto_tol(poisoned, clean, 1e-12)
+    assert not ok and math.isnan(res)
+    nan_tensor = TensorElement((HOME, HOME), {(UNIT_MONOMIAL, UNIT_MONOMIAL): float("nan")})
+    assert math.isnan(residual_between(nan_tensor, TensorElement((HOME, HOME))))
+
+
+def test_residual_scale_includes_the_gross_of_cancelled_terms():
+    # (1e6 + 0.1) - 1e6 misses 0.1 by about 9e-11, which is rounding: the
+    # residual divides by the largest term summed and reads it as such
+    big = unit(HOME).scaled(1e6)
+    summed = (big + unit(HOME).scaled(0.1)) + big.scaled(-1.0)
+    assert summed.gross == pytest.approx(1e6, rel=1e-6)
+    assert 0 < residual_between(summed, unit(HOME).scaled(0.1)) <= 1e-16
+    assert residual_between(AlgebraElement(HOME, summed.terms), unit(HOME).scaled(0.1)) > 1e-11
 
 
 def test_mismatched_homes_rejected():

@@ -66,11 +66,13 @@ def test_rep_of_exponential_factor():
 
 
 def test_rep_evaluates_exponents_in_units_of_the_home_colour():
-    # q^(e Z) and s^(f Z) on the copy with colour c represent as q^(c e) I and s^(c f) I
-    e, f = 0.7 - 0.3j, -0.4 + 0.9j
+    # q^(e Z) and s^(f Z) on the copy with colour c represent as q^(c e) I and s^(c f) I,
+    # with e and f as the constructor snapped them to the exponent grid
+    q_mono = PBWMonomial(0, 0, 0.7 - 0.3j, 0j, 0, 0)
+    s_mono = PBWMonomial(0, 0, 0j, -0.4 + 0.9j, 0, 0)
     for c in (1.0 + 0j, 2.0 + 0j, 1.3 + 0.4j):
-        for mono, scalar in ((PBWMonomial(0, 0, e, 0j, 0, 0), cpow(PC.q, c * e)),
-                             (PBWMonomial(0, 0, 0j, f, 0, 0), cpow(PC.s, c * f))):
+        for mono, scalar in ((q_mono, cpow(PC.q, c * q_mono.q_exp)),
+                             (s_mono, cpow(PC.s, c * s_mono.s_exp))):
             mat = rep(AlgebraElement(Home(PC, c), {mono: 1.0}))
             assert np.array_equal(mat, scalar * np.eye(2))
 
