@@ -55,6 +55,7 @@ from .representation import (
     check_r_inverse,
     coloured_R_closed_form,
     crossval_residual,
+    embedded_R,
 )
 
 #: options whose value is a complex literal (or a comma-separated list of them)
@@ -359,16 +360,22 @@ def cmd_sweep(args) -> int:
             print("usage error: empty colour grid", file=sys.stderr)
             return 2
         rows = ["q,s,lambda,mu,nu,ybe_residual,crossval_residual"]
-        for lam in lams:
-            for mu in mus:
-                cv = crossval_residual(point, lam, mu)
-                for nu in nus:
-                    ybe = check_coloured_graded_ybe(point, lam, mu, nu)
-                    rows.append(",".join([
-                        format_complex(point.q), format_complex(point.s),
-                        format_complex(lam), format_complex(mu), format_complex(nu),
-                        repr(ybe), repr(cv),
-                    ]))
+        # each R-matrix of the grid is built and embedded once, kept by list
+        # position: 0j == -0j, so keying by value would merge two literals
+        r12s = [embedded_R(point, lam, mus, "12") for lam in lams]
+        r13s = [embedded_R(point, lam, nus, "13") for lam in lams]
+        r23s = [embedded_R(point, mu, nus, "23") for mu in mus]
+        qs = f"{format_complex(point.q)},{format_complex(point.s)}"
+        mu_text = [format_complex(mu) for mu in mus]
+        nu_text = [format_complex(nu) for nu in nus]
+        for lam, r12_row, r13_row in zip(lams, r12s, r13s):
+            lam_prefix = f"{qs},{format_complex(lam)}"
+            for mu, mu_s, r12, r23_row in zip(mus, mu_text, r12_row, r23s):
+                cv = repr(crossval_residual(point, lam, mu))
+                for nu, nu_s, r13, r23 in zip(nus, nu_text, r13_row, r23_row):
+                    ybe = check_coloured_graded_ybe(point, lam, mu, nu,
+                                                    embedded=(r12, r13, r23))
+                    rows.append(f"{lam_prefix},{mu_s},{nu_s},{ybe!r},{cv}")
         payload = "\n".join(rows) + "\n"
         if args.output:
             with open(args.output, "w", encoding="utf-8") as fh:

@@ -12,8 +12,8 @@ products of operators act with the super sign
 (a ox b)(v ox w) = (-1)**(deg b * deg v) a v ox b w, and analogously with
 cumulative parities on three factors.  Everything in this module funnels
 through that one rule: `rep_tensor` realises it for symbolic tensors, and
-`embed` realises it entrywise for numeric 4x4 matrices placed into three
-tensor slots.
+`embed` places numeric 4x4 matrices into three tensor slots through constant
+(target, source, sign) index maps, built once at import from the rule.
 
 The coloured R-matrix is built twice: from its closed 4x4 form and from the
 factorised universal expression
@@ -218,6 +218,20 @@ def crossval_residual(p: ParamPoint, lam: complex, mu: complex) -> float:
 # graded three-slot embeddings
 # ---------------------------------------------------------------------------
 
+def _embedding_map(spectator: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Flat (target, source, sign) indices placing a 4x4 operator [r1, r2, c1, c2]
+    beside slot ``spectator``, whose basis index x joins row and column.  By the
+    Koszul rule each factor right of the spectator crosses x: (-1)**(x * its degree)."""
+    r1, r2, c1, c2, x = np.indices((2,) * 5).reshape(5, -1)
+    row, col = [r1, r2], [c1, c2]
+    sgn = (-1.0) ** (x * sum(row[spectator:] + col[spectator:]))
+    tgt = row[:spectator] + [x] + row[spectator:] + col[:spectator] + [x] + col[spectator:]
+    return np.ravel_multi_index(tgt, (2,) * 6), np.ravel_multi_index(row + col, (2,) * 4), sgn
+
+
+_EMBEDDINGS = {"12": _embedding_map(2), "13": _embedding_map(1), "23": _embedding_map(0)}
+
+
 def embed(m: np.ndarray, slot: str) -> np.ndarray:
     """Place a 4x4 operator into two of three graded tensor slots: "12",
     "13" or "23".
@@ -228,26 +242,17 @@ def embed(m: np.ndarray, slot: str) -> np.ndarray:
     """
     if m.shape != (4, 4):
         raise ValueError("embed: expected a 4x4 matrix")
-    if slot == "12":
-        return np.kron(m, np.eye(2, dtype=complex))
-
-    T = m.reshape(2, 2, 2, 2)  # [r1, r2, c1, c2]
-    out = np.zeros((2, 2, 2, 2, 2, 2), dtype=complex)
-    r1, r2, c1, c2 = np.indices((2, 2, 2, 2))
-    if slot == "13":
-        # second-factor operator parity c_par = r2 + c2 (here axes are k', k)
-        odd = (r2 + c2) & 1
-        for j in (0, 1):
-            sign = np.where((odd * j) & 1, -1.0, 1.0)
-            out[:, j, :, :, j, :] = T * sign
-    elif slot == "23":
-        pair_parity = (r1 + r2 + c1 + c2) & 1
-        for i in (0, 1):
-            sign = np.where((pair_parity * i) & 1, -1.0, 1.0)
-            out[i, :, :, i, :, :] = T * sign
-    else:
+    if slot not in _EMBEDDINGS:
         raise ValueError(f"embed: unknown slot {slot!r}")
+    tgt, src, sgn = _EMBEDDINGS[slot]
+    out = np.zeros(64, dtype=complex)
+    out[tgt] = m.ravel()[src] * sgn
     return out.reshape(8, 8)
+
+
+def embedded_R(p: ParamPoint, lam: complex, mus, slot: str) -> list[np.ndarray]:
+    """R^{lam, mu} embedded into ``slot``, for each mu of ``mus``."""
+    return [embed(coloured_R_closed_form(p, lam, mu), slot) for mu in mus]
 
 
 # ---------------------------------------------------------------------------
@@ -255,23 +260,24 @@ def embed(m: np.ndarray, slot: str) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def check_coloured_graded_ybe(p: ParamPoint, lam: complex, mu: complex, nu: complex,
-                              perturb: float = 0.0) -> float:
+                              perturb: float = 0.0, embedded: tuple | None = None) -> float:
     """Residual of R12 R13 R23 = R23 R13 R12 with graded embeddings.
 
-    ``perturb`` scales the off-diagonal entry of the (lam, mu) matrix by
+    ``perturb`` scales the off-diagonal entry of a fresh (lam, mu) matrix by
     (1 + perturb); a nonzero value is the negative control establishing
-    that the check has power.
+    that the check has power.  ``embedded`` passes unperturbed R12, R13 and
+    R23 already embedded for these colours, as a sweep shares them.
     """
-    lv, mv, nv = as_colour(lam), as_colour(mu), as_colour(nu)
-    r_lm = coloured_R_closed_form(p, lv, mv)
-    if perturb:
-        r_lm[1, 2] *= (1.0 + perturb)
-    a = embed(r_lm, "12")
-    b = embed(coloured_R_closed_form(p, lv, nv), "13")
-    c = embed(coloured_R_closed_form(p, mv, nv), "23")
-    lhs = a @ b @ c
-    rhs = c @ b @ a
-    return frobenius_residual(lhs, rhs)
+    if embedded is None:
+        r_lm = coloured_R_closed_form(p, lam, mu)
+        if perturb:
+            r_lm[1, 2] *= (1.0 + perturb)
+        embedded = (embed(r_lm, "12"), embed(coloured_R_closed_form(p, lam, nu), "13"),
+                    embed(coloured_R_closed_form(p, mu, nu), "23"))
+    elif perturb:
+        raise ValueError("check_coloured_graded_ybe: perturb needs matrices built here")
+    a, b, c = embedded
+    return frobenius_residual(a @ b @ c, c @ b @ a)
 
 
 def check_anticommutator(p: ParamPoint, nu: complex) -> float:
@@ -333,8 +339,8 @@ def check_hexagons(p: ParamPoint, alpha: complex, beta: complex, gamma: complex,
     sv = sigma_pair(gv, mv, v_right)
     bracket1 = eye8 + coeff * rep_tensor(tensor_concat(du, sv))
     lhs1 = pre1 @ bracket1
-    rhs1 = (embed(coloured_R_closed_form(p, av, gv), "13")
-            @ embed(coloured_R_closed_form(p, bv, gv), "23"))
+    r13 = embed(coloured_R_closed_form(p, av, gv), "13")
+    rhs1 = r13 @ embed(coloured_R_closed_form(p, bv, gv), "23")
     res1 = frobenius_residual(lhs1, rhs1)
 
     # second hexagon: comultiply the second leg
@@ -343,8 +349,7 @@ def check_hexagons(p: ParamPoint, alpha: complex, beta: complex, gamma: complex,
     dv = coproduct(ColouredMapContext(p, bv, gv, mv), v_right)
     bracket2 = eye8 + coeff * rep_tensor(tensor_concat(su, dv))
     lhs2 = pre2 @ bracket2
-    rhs2 = (embed(coloured_R_closed_form(p, av, gv), "13")
-            @ embed(coloured_R_closed_form(p, av, bv), "12"))
+    rhs2 = r13 @ embed(coloured_R_closed_form(p, av, bv), "12")
     res2 = frobenius_residual(lhs2, rhs2)
     return res1, res2
 

@@ -203,6 +203,55 @@ def test_sweep_computes_crossval_once_per_lambda_mu(tmp_path, monkeypatch):
     assert out.read_text() == "\n".join(expected) + "\n"
 
 
+def test_sweep_builds_each_r_matrix_once(tmp_path, monkeypatch):
+    """Each R^{lam,mu} "12", R^{lam,nu} "13" and R^{mu,nu} "23" embedding is
+    built once per sweep, and the embeddings are kept by list position, so the
+    literals 0+1i and -0+1i (equal as numbers) each keep their own rows."""
+    from colouredhopf import representation
+
+    calls = {"embed": 0, "coloured_R_closed_form": 0}
+
+    def counting(name):
+        original = getattr(representation, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(representation, name, counting(name))
+    out = tmp_path / "sweep.csv"
+    assert main(["sweep", "--q", "2", "--s", "1.5", "--lambda", "0+1i,-0+1i,1.5",
+                 "--mu", "1,2i", "--nu", "1.2,0.5-0.3i,0.8,2", "--output", str(out)]) == 0
+    n_lam, n_mu, n_nu = 3, 2, 4
+    per_grid = n_lam * n_mu + n_lam * n_nu + n_mu * n_nu
+    assert calls["embed"] <= per_grid  # 26; one per grid point and slot would be 72
+    assert calls["coloured_R_closed_form"] <= per_grid + n_lam * n_mu  # crossval takes one each
+    rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+    assert [row[2] for row in rows] == (["0.0+1.0i"] * 8 + ["-0.0+1.0i"] * 8 + ["1.5"] * 8)
+
+
+def test_sweep_reads_each_ybe_residual_from_the_check(tmp_path, monkeypatch):
+    """Every ybe_residual of a sweep is what check_coloured_graded_ybe returns
+    for its grid point, so a NaN there reaches the CSV."""
+    from colouredhopf import cli
+
+    seen = []
+
+    def planted(point, lam, mu, nu, perturb=0.0, embedded=None):
+        seen.append((lam, mu, nu))
+        return float("nan")
+
+    monkeypatch.setattr(cli, "check_coloured_graded_ybe", planted)
+    out = tmp_path / "sweep.csv"
+    assert main(["sweep", "--q", "2", "--s", "1.5", "--lambda", "1,2", "--mu", "1,2i",
+                 "--nu", "1.2,0.5-0.3i", "--output", str(out)]) == 0
+    rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+    assert len(seen) == len(rows) == 8
+    assert all(row[5] == "nan" for row in rows)
+
+
 def test_sweep_unwritable_output_fails(tmp_path, capsys):
     rc = main(["sweep", "--q", "2", "--s", "1",
                "--output", str(tmp_path / "missing" / "out.csv")])

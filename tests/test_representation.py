@@ -266,3 +266,56 @@ def test_hexagon_repeated_colour():
     res1, res2 = check_hexagons(PC, 1.2 + 0.1j, 0.9 - 0.2j, 0.9 - 0.2j,
                                 0.8 + 0.6j, 1.1 - 0.7j)
     assert res1 <= 1e-10 and res2 <= 1e-10
+
+
+def _embed_by_loops(m, slot):
+    """The entrywise sign-table construction `embed` had before its index maps."""
+    if slot == "12":
+        return np.kron(m, np.eye(2, dtype=complex))
+    T = m.reshape(2, 2, 2, 2)  # [r1, r2, c1, c2]
+    out = np.zeros((2, 2, 2, 2, 2, 2), dtype=complex)
+    r1, r2, c1, c2 = np.indices((2, 2, 2, 2))
+    if slot == "13":
+        odd = (r2 + c2) & 1
+        for j in (0, 1):
+            out[:, j, :, :, j, :] = T * np.where((odd * j) & 1, -1.0, 1.0)
+    else:
+        pair_parity = (r1 + r2 + c1 + c2) & 1
+        for i in (0, 1):
+            out[i, :, :, i, :, :] = T * np.where((pair_parity * i) & 1, -1.0, 1.0)
+    return out.reshape(8, 8)
+
+
+def test_embed_index_maps_match_loop_construction():
+    # bit for bit; "+ 0.0" turns the -0.0 that np.kron leaves in its zero
+    # blocks into the 0.0 the index maps leave there, and changes nothing else
+    rng = np.random.default_rng(113)
+    for _ in range(50):
+        m = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+        for slot in ("12", "13", "23"):
+            new, old = embed(m, slot) + 0.0, _embed_by_loops(m, slot) + 0.0
+            assert new.tobytes() == old.tobytes(), slot
+
+
+def test_perturbed_ybe_leaves_no_trace(tmp_path):
+    # the negative control scales a fresh R-matrix: no later reading sees it
+    from colouredhopf.cli import main
+
+    lam, mu, nu = 1.3 + 0.2j, 0.8 - 0.5j, 1.1 + 0.3j
+    first = check_coloured_graded_ybe(PC, lam, mu, nu)
+    assert check_coloured_graded_ybe(PC, lam, mu, nu, perturb=0.01) > 1e-6
+    assert check_coloured_graded_ybe(PC, lam, mu, nu) == first
+    out = tmp_path / "sweep.csv"
+    assert main(["sweep", "--q", "0.7+0.9i", "--s=1.1-0.4i", "--lambda", "1.3+0.2i",
+                 "--mu=0.8-0.5i", "--nu", "1.1+0.3i", "--output", str(out)]) == 0
+    (row,) = out.read_text().splitlines()[1:]
+    assert row.split(",")[5] == repr(first)
+
+
+def test_perturb_needs_matrices_built_by_the_check():
+    shared = tuple(embed(coloured_R_closed_form(PC, a, b), slot)
+                   for a, b, slot in ((1.3, 0.8, "12"), (1.3, 1.1, "13"), (0.8, 1.1, "23")))
+    assert check_coloured_graded_ybe(PC, 1.3, 0.8, 1.1, embedded=shared) == \
+        check_coloured_graded_ybe(PC, 1.3, 0.8, 1.1)
+    with pytest.raises(ValueError):
+        check_coloured_graded_ybe(PC, 1.3, 0.8, 1.1, perturb=0.01, embedded=shared)
