@@ -15,6 +15,7 @@ start with a minus sign ("--s -0.5+1.2i").
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -434,6 +435,7 @@ def _is_complex_list(text: str) -> bool:
         return False
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="colouredhopf",
@@ -449,7 +451,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--guard", type=_guard, default=DEFAULT_GUARD,
                           help="lower bound on |q**2 - 1| for sampled points")
     p_verify.add_argument("--output", help="write the JSON report to this path")
-    p_verify.set_defaults(func=cmd_verify)
 
     p_rmatrix = sub.add_parser("rmatrix", help="emit the 4x4 coloured R-matrix")
     p_rmatrix.add_argument("--q", type=parse_complex, required=True)
@@ -459,7 +460,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_rmatrix.add_argument("--format", choices=("json", "csv"), default="json")
     p_rmatrix.add_argument("--guard", type=_guard, default=DEFAULT_GUARD)
     p_rmatrix.add_argument("--output")
-    p_rmatrix.set_defaults(func=cmd_rmatrix)
 
     p_ybe = sub.add_parser("ybe", help="single-point Yang-Baxter residual")
     p_ybe.add_argument("--q", type=parse_complex, required=True)
@@ -471,7 +471,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="scale the off-diagonal entry by (1 + this) as a negative control")
     p_ybe.add_argument("--tolerance", action="append", metavar="[ybe=]VALUE")
     p_ybe.add_argument("--guard", type=_guard, default=DEFAULT_GUARD)
-    p_ybe.set_defaults(func=cmd_ybe)
 
     p_sweep = sub.add_parser("sweep", help="CSV residual sweep over a colour grid")
     p_sweep.add_argument("--q", type=parse_complex, required=True)
@@ -482,17 +481,15 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--nu", default="1", help="comma-separated colour list")
     p_sweep.add_argument("--guard", type=_guard, default=DEFAULT_GUARD)
     p_sweep.add_argument("--output", help="write CSV here instead of stdout")
-    p_sweep.set_defaults(func=cmd_sweep)
 
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    if argv is None:
-        argv = sys.argv[1:]
-    args = parser.parse_args(_attach_negative_values(list(argv)))
-    return args.func(args)
+    argv = sys.argv[1:] if argv is None else argv
+    args = build_parser().parse_args(_attach_negative_values(list(argv)))
+    # looked up at call time, so a ``cmd_*`` rebound in this module is the one run
+    return globals()[f"cmd_{args.command}"](args)
 
 
 if __name__ == "__main__":

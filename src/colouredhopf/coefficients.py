@@ -67,6 +67,12 @@ def working_precision(dps: int):
     (to 10**(2 - dps)), and empties every ``precision_cache`` on entry and
     on exit.  Exponents of monomials stay floats: the symbolic layer never
     evaluates them.  The matrix layer stays on numpy and is not covered.
+
+    Coefficients a caller built before the block stay doubles:
+    ``pbw_algebra._mul_terms`` multiplies two of them (``c1 * c2``) in
+    double precision.  A caller who wants the product at ``dps`` digits
+    lifts its inputs first with ``x.scaled(1.0)``, as
+    ``tests/test_working_precision.py`` does.
     """
     global _SCALAR, _EXP, _LOG, PRUNE_TOL
     import mpmath

@@ -99,6 +99,12 @@ def rep(x: AlgebraElement) -> np.ndarray:
 _COL_I2 = np.array([0, 0, 1, 1])          # first-slot basis parity per column, dim 4
 _COL_I3 = np.repeat([0, 1], 4)            # dim 8 column first-slot parity
 _COL_J3 = np.tile(np.repeat([0, 1], 2), 2)
+_ODD_RIGHT_SIGNS = np.where(_COL_I2 & 1, -1.0, 1.0)  # column signs of a ox b, b odd
+
+
+def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Kronecker product as one broadcast outer product: entry a_ij * b_kl."""
+    return (a[:, None, :, None] * b[None, :, None, :]).reshape(len(a) * len(b), -1)
 
 
 def rep_tensor(u: TensorElement) -> np.ndarray:
@@ -108,9 +114,9 @@ def rep_tensor(u: TensorElement) -> np.ndarray:
     out = np.zeros((dim, dim), dtype=complex)
     for key, coeff in u.terms.items():
         mats = [_mono_matrix(m, q, s, h.colour) for m, h in zip(key, u.homes)]
-        kron = np.kron(mats[0], mats[1])
+        kron = _kron(mats[0], mats[1])
         if u.order == 3:
-            kron = np.kron(kron, mats[2])
+            kron = _kron(kron, mats[2])
             sign_exp = key[1].parity * _COL_I3 + key[2].parity * (_COL_I3 + _COL_J3)
         else:
             sign_exp = key[1].parity * _COL_I2
@@ -135,11 +141,8 @@ def coloured_R_closed_form(p: ParamPoint, lam: complex, mu: complex) -> np.ndarr
 
 def _graded_kron2(a: np.ndarray, b: np.ndarray, parity_b: int) -> np.ndarray:
     """Order-2 operator tensor of 2x2 matrices with the super sign."""
-    kron = np.kron(a, b)
-    if parity_b & 1:
-        signs = np.where(_COL_I2 & 1, -1.0, 1.0)
-        kron = kron * signs[np.newaxis, :]
-    return kron
+    kron = _kron(a, b)
+    return kron * _ODD_RIGHT_SIGNS if parity_b & 1 else kron
 
 
 @dataclass

@@ -84,6 +84,24 @@ def test_verify_passes_at_seed_5674():
     assert report["pass"], [(c["name"], c["max_residual"]) for c in report["checks"]]
 
 
+@pytest.fixture(scope="module")
+def report_2859():
+    return run_verification(2859, 1)
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 2")
+def test_verify_passes_at_seed_2859(report_2859):
+    """Seed 2859's negative control reads 6.463626675445826e-07, below its
+    1e-6 floor, on clean code; a change to that reading shows up here."""
+    assert report_2859["pass"]
+
+
+def test_seed_2859_fails_only_its_negative_control(report_2859):
+    failing = [(c["name"], c["max_residual"]) for c in report_2859["checks"] if not c["pass"]]
+    assert failing == [("ybe_negative_control", 6.463626675445826e-07)]
+    assert sum(c["pass"] for c in report_2859["checks"]) == len(CHECKS) - 1
+
+
 def test_run_verification_tolerance_override_only_affects_named_check():
     report = run_verification(seed=3, draws=2, tolerances={"hexagons": 2.0})
     hexagons = next(c for c in report["checks"] if c["name"] == "hexagons")
@@ -301,3 +319,48 @@ def test_negative_complex_value_after_space(spaced, joined, capsys):
     expected = capsys.readouterr().out
     assert main(spaced) == 0
     assert capsys.readouterr().out == expected
+
+
+def test_parser_is_built_once_per_process(monkeypatch, capsys):
+    import argparse
+
+    from colouredhopf import cli
+
+    built = []
+    add_subparsers = argparse.ArgumentParser.add_subparsers
+
+    def counting(self, **kwargs):
+        built.append(self.prog)
+        return add_subparsers(self, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "add_subparsers", counting)
+    cli.build_parser.cache_clear()
+    for argv in (["ybe", "--q", "2", "--s", "1.5"], ["rmatrix", "--q", "2", "--s", "1.5"],
+                 ["sweep", "--q", "2", "--s", "1.5"]):
+        assert main(argv) == 0
+    assert built == ["colouredhopf"]
+
+
+def test_main_runs_the_subcommand_bound_at_call_time(tmp_path, monkeypatch):
+    """A ``cmd_*`` rebound in the module after the parser exists is the one
+    run, as the benchmark's tracer and the self-test's plants rebind it."""
+    from colouredhopf import cli
+
+    out = tmp_path / "sweep.csv"
+    argv = ["sweep", "--q", "2", "--s", "1.5", "--output", str(out)]
+    assert main(argv) == 0
+    seen = []
+    monkeypatch.setattr(cli, "cmd_sweep", lambda args: seen.append(args.output) or 7)
+    assert main(argv) == 7
+    assert seen == [str(out)]
+
+
+def test_repeated_options_do_not_leak_between_calls(tmp_path):
+    loose, plain = tmp_path / "loose.json", tmp_path / "plain.json"
+    assert main(["verify", "--draws", "1", "--tolerance", "ybe=1",
+                 "--output", str(loose)]) == 0
+    assert main(["verify", "--draws", "1", "--output", str(plain)]) == 0
+    tolerances = [{c["name"]: c["tolerance"] for c in json.loads(path.read_text())["checks"]}
+                  for path in (loose, plain)]
+    assert tolerances[0]["ybe"] == 1.0
+    assert tolerances[1] == DEFAULT_TOLERANCES

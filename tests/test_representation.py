@@ -18,6 +18,8 @@ from colouredhopf.pbw_algebra import (
     z_gen,
 )
 from colouredhopf.representation import (
+    _graded_kron2,
+    _kron,
     check_coloured_graded_ybe,
     check_hexagons,
     check_intertwiner,
@@ -156,6 +158,37 @@ def test_odd_factors_are_nilpotent():
     fac = r_factorisation(PC, 1.3 + 0.2j, 0.8 - 0.5j)
     assert np.allclose(fac.odd_left @ fac.odd_left, 0.0)
     assert np.allclose(fac.odd_right @ fac.odd_right, 0.0)
+
+
+def test_kron_matches_numpy_bit_for_bit():
+    rng = np.random.default_rng(115)
+    for shape_a in ((2, 2), (4, 4)) * 25:
+        a = rng.normal(size=shape_a) + 1j * rng.normal(size=shape_a)
+        b = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+        assert _kron(a, b).tobytes() == np.kron(a, b).tobytes()
+
+
+def _graded_kron2_numpy(a, b, parity_b):
+    """`_graded_kron2` as it was before the kron helper and its sign constant."""
+    kron = np.kron(a, b)
+    if parity_b & 1:
+        signs = np.where(np.array([0, 0, 1, 1]) & 1, -1.0, 1.0)
+        kron = kron * signs[np.newaxis, :]
+    return kron
+
+
+def test_graded_kron2_matches_numpy_construction_bit_for_bit():
+    # random pairs, and the odd factors r_factorisation feeds it, whose zero
+    # entries carry signed zeros through the sign columns
+    rng = np.random.default_rng(116)
+    for _ in range(25):
+        a, b = (rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)) for _ in range(2))
+        lam, mu = (complex(*rng.uniform(0.5, 1.5, size=2)) for _ in range(2))
+        fac = r_factorisation(PC, lam, mu)
+        for x, y in ((a, b), (fac.odd_left, fac.odd_right)):
+            for parity in (0, 1):
+                assert (_graded_kron2(x, y, parity).tobytes()
+                        == _graded_kron2_numpy(x, y, parity).tobytes()), parity
 
 
 def test_embed_identity():
