@@ -58,6 +58,7 @@ from .representation import (
     crossval_residual,
     embedded_R,
 )
+from .reporting import worst
 
 #: options whose value is a complex literal (or a comma-separated list of them)
 COMPLEX_OPTIONS = ("--q", "--s", "--lambda", "--mu", "--nu")
@@ -150,12 +151,12 @@ def _reduction_residual(d: Draw) -> float:
     """Coloured maps at identity colours against the standard structure maps."""
     point = d.point
     ctx = ColouredMapContext(point, 1.0, 1.0, 1.0)
-    worst = 0.0
+    residual = 0.0
     for x in d.reduction_probes:
-        worst = max(worst, residual_between(coproduct(ctx, x), standard_coproduct(point, x)))
-        worst = max(worst, residual_between(antipode(ctx, x), standard_antipode(point, x)))
-    worst = max(worst, check_coloured_graded_ybe(point, 1.0, 1.0, 1.0))
-    return worst
+        residual = worst(residual,
+                         residual_between(coproduct(ctx, x), standard_coproduct(point, x)),
+                         residual_between(antipode(ctx, x), standard_antipode(point, x)))
+    return worst(residual, check_coloured_graded_ybe(point, 1.0, 1.0, 1.0))
 
 
 class Check(NamedTuple):
@@ -201,7 +202,7 @@ CHECKS = (
           _bialgebra_residual),
     Check("relation_preservation", 1e-11,
           "comultiplication and representation respect the anticommutator", "<=",
-          lambda d: max(
+          lambda d: worst(
               verify_relation_preservation(d.point, (d.lam, d.mu, d.nu)).max_residual,
               check_anticommutator(d.point, d.nu))),
     Check("reduction", 1e-11,
@@ -218,7 +219,7 @@ CHECKS = (
           "R-matrix intertwines the comultiplication and its graded flip", "<=",
           lambda d: check_intertwiner(d.point, d.l1, d.l2, d.nu)),
     Check("hexagons", 1e-10, "quasitriangularity hexagon identities", "<=",
-          lambda d: max(check_hexagons(d.point, d.alpha, d.lam, d.mu, d.l1, d.l2))),
+          lambda d: worst(*check_hexagons(d.point, d.alpha, d.lam, d.mu, d.l1, d.l2))),
     Check("r_inverse", 1e-12, "nilpotent closed-form inverse matches the numeric inverse",
           "<=", lambda d: check_r_inverse(d.point, d.l1, d.l2)),
 )

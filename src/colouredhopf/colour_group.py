@@ -40,6 +40,7 @@ from .pbw_algebra import (
     substitute_slot,
     unit,
 )
+from .reporting import worst
 
 
 def _local_scale(q: complex, source_colour: complex, factor: complex) -> complex:
@@ -161,8 +162,8 @@ class GroupLawReport:
 
     @property
     def max_asserted(self) -> float:
-        return max(self.composition, self.identity, self.inverse,
-                   self.inverse_exact, self.grading, self.isomorphism)
+        return worst(self.composition, self.identity, self.inverse,
+                     self.inverse_exact, self.grading, self.isomorphism)
 
 
 def check_group_laws(p: ParamPoint, nu: complex, nu2: complex) -> GroupLawReport:
@@ -185,17 +186,17 @@ def check_group_laws(p: ParamPoint, nu: complex, nu2: complex) -> GroupLawReport
         via = sigma(nu2_val, sx)
         direct = sigma(nu2_val * nu_val, x)
         a, b = _flip_residual(via, direct)
-        comp_signed, comp = max(comp_signed, a), max(comp, b)
+        comp_signed, comp = worst(comp_signed, a), worst(comp, b)
 
-        ident = max(ident, residual_between(sigma(1.0, x), x))
+        ident = worst(ident, residual_between(sigma(1.0, x), x))
 
         back = sigma(1.0 / nu_val, sx)
         a, b = _flip_residual(back, x)
-        inv_signed, inv = max(inv_signed, a), max(inv, b)
+        inv_signed, inv = worst(inv_signed, a), worst(inv, b)
 
-        inv_exact = max(inv_exact, residual_between(sigma_inverse(nu_val, sx), x))
+        inv_exact = worst(inv_exact, residual_between(sigma_inverse(nu_val, sx), x))
 
-        grad = max(grad, residual_between(
+        grad = worst(grad, residual_between(
             sigma(nu_val, grading_automorphism(x)), grading_automorphism(sx)))
 
     # algebra-isomorphism law on generator pairs
@@ -203,7 +204,7 @@ def check_group_laws(p: ParamPoint, nu: complex, nu2: complex) -> GroupLawReport
     for x, sx in images:
         for y, sy in images:
             lhs = sigma(nu_val, multiply(x, y))
-            iso = max(iso, residual_between(lhs, multiply(sx, sy)))
+            iso = worst(iso, residual_between(lhs, multiply(sx, sy)))
 
     return GroupLawReport(
         composition_signed=comp_signed,

@@ -28,6 +28,7 @@ arbiters for every convention choice made above.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import cycle
 from math import comb
 from typing import NamedTuple
 
@@ -111,10 +112,53 @@ _ODD_IMAGES = (
 )
 
 
-def _append_odd(m: PBWMonomial, odd: PBWMonomial) -> PBWMonomial:
-    """m times one slot factor of an odd image, which carries no Z or H."""
-    return _exact_monomial((m.z_deg, m.h_deg, m.q_exp + odd.q_exp, m.s_exp + odd.s_exp,
-                            m.plus | odd.plus, m.minus | odd.minus))
+class _CoproductShape(NamedTuple):
+    """What D does to every basis word of one shape Z^a H^b (psi+)^e (psi-)^d;
+    only the colour scalars and the word's exponential label vary."""
+
+    odd_images: tuple  # the ``_ODD_IMAGES`` the table was read from
+    evens: tuple[tuple[int, int, int, int, int], ...]  # (k, j, a - k, b - j, binomial)
+    picks: tuple[tuple, ...]  # per choice of odd-image terms: slot offsets and odd bits
+    steps: tuple[tuple, ...]  # per odd image: per earlier choice, (scalar index, sign) pairs
+
+
+#: (a, b, e, d) -> ``_CoproductShape``, filled on first use
+_COPRODUCT_SHAPES: dict[tuple[int, int, int, int], _CoproductShape] = {}
+
+
+def _coproduct_shape(a: int, b: int, plus: int, minus: int) -> _CoproductShape:
+    """The table of D on the shape Z^a H^b (psi+)^plus (psi-)^minus.
+
+    The terms are ordered by the even term (k, j), then by the choice of a
+    term of each odd image, psi+ first.  A row of ``picks`` holds the q and
+    s exponents that one choice appends to slot 1, summed here (grid
+    exponents add exactly), its odd bits, and the same for slot 2.  A step of ``steps`` appends one odd image: for each
+    choice made so far, the scalar index (0 for a_lam, 1 for a_mu) of each
+    of the image's two terms and whether the Koszul sign falls there,
+    because the term's slot-1 factor is odd and crosses an odd slot 2.
+    Rebinding ``_ODD_IMAGES`` rebuilds the table.
+    """
+    shape = _COPRODUCT_SHAPES.get((a, b, plus, minus))
+    if shape is not None and shape.odd_images is _ODD_IMAGES:
+        return shape
+    picks = [(0j, 0j, 0, 0, 0j, 0j, 0, 0)]
+    steps = []
+    for present, images in zip((plus, minus), _ODD_IMAGES):
+        if present:
+            steps.append(tuple(
+                tuple((index, bool((rp + rm) & o1.parity)) for index, (o1, _) in enumerate(images))
+                for *_, rp, rm in picks))
+            picks = [
+                (lq + o1.q_exp, ls + o1.s_exp, lp | o1.plus, lm | o1.minus,
+                 rq + o2.q_exp, rs + o2.s_exp, rp | o2.plus, rm | o2.minus)
+                for lq, ls, lp, lm, rq, rs, rp, rm in picks
+                for o1, o2 in images
+            ]
+    evens = tuple((k, j, a - k, b - j, comb(a, k) * comb(b, j))
+                  for k in range(a + 1) for j in range(b + 1))
+    shape = _COPRODUCT_SHAPES[(a, b, plus, minus)] = _CoproductShape(
+        _ODD_IMAGES, evens, tuple(picks), tuple(steps))
+    return shape
 
 
 def _monomial_coproduct(m: PBWMonomial, rl: complex, rm: complex, a_l: complex, a_m: complex,
@@ -127,23 +171,28 @@ def _monomial_coproduct(m: PBWMonomial, rl: complex, rm: complex, a_l: complex, 
     is needed: exponentials are functions of the central Z,
     and psi+ is appended before psi-, so each slot stays in normal order.
     The one Koszul sign is -1, when psi+ sits in slot 2 and psi- lands in
-    slot 1.
+    slot 1.  All of this is fixed by the word's shape (``_coproduct_shape``):
+    per word, each coefficient is a binomial times rl**k rm**(a-k), then
+    times the scalar of each odd image in turn, and each slot exponent is
+    the word's label plus the offsets its odd factors carry.
     """
-    a, b, qe, se = m.z_deg, m.h_deg, m.q_exp, m.s_exp
-    terms = [
-        ((_exact_monomial((k, j, qe, se, 0, 0)), _exact_monomial((a - k, b - j, qe, se, 0, 0))),
-         comb(a, k) * comb(b, j) * rl ** k * rm ** (a - k))
-        for k in range(a + 1) for j in range(b + 1)
-    ]
-    for present, (lam_term, mu_term) in zip((m.plus, m.minus), _ODD_IMAGES):
-        if present:
-            terms = [
-                ((_append_odd(left, o1), _append_odd(right, o2)),
-                 -c * oc if right.parity & o1.parity else c * oc)
-                for (left, right), c in terms
-                for (o1, o2), oc in ((lam_term, a_l), (mu_term, a_m))
-            ]
-    return terms
+    a, b, qe, se, plus, minus = m
+    shape = _coproduct_shape(a, b, plus, minus)
+    coeffs = [binom * rl ** k * rm ** ak for k, _, ak, _, binom in shape.evens]
+    scalars = (a_l, a_m)
+    for step in shape.steps:
+        coeffs = [-c * scalars[index] if negate else c * scalars[index]
+                  for c, moves in zip(coeffs, cycle(step)) for index, negate in moves]
+    if shape.steps:
+        slots = [(qe + lq, se + ls, lp, lm, qe + rq, se + rs, rp, rm)
+                 for lq, ls, lp, lm, rq, rs, rp, rm in shape.picks]
+    else:
+        slots = [(qe, se, 0, 0, qe, se, 0, 0)]
+    return list(zip([
+        (_exact_monomial((k, j, lq, ls, lp, lm)), _exact_monomial((ak, bj, rq, rs, rp, rm)))
+        for k, j, ak, bj, _ in shape.evens
+        for lq, ls, lp, lm, rq, rs, rp, rm in slots
+    ], coeffs))
 
 
 def coproduct(ctx: ColouredMapContext, x: AlgebraElement) -> TensorElement:
@@ -469,17 +518,24 @@ def verify_coassociativity(
     colours = (alpha, beta, gamma, lam, mu, lam2, mu2, nu); checks
       (D^{alpha,beta}_lam ox s^gamma_mu) o D^{lam,mu}_nu
         = (s^alpha_lam2 ox D^{beta,gamma}_mu2) o D^{lam2,mu2}_nu
+
+    Each route applies its colour map to the order-2 inner coproduct, and
+    then the slot coproduct to the other slot.  This is the same identity:
+    D ox s = (D ox id) o (id ox s), because the two maps act on different
+    tensor factors and s is even, so no sign arises.  The colour map then
+    scales the terms of an order-2 tensor rather than of the order-3 one,
+    which has several times as many.
     """
     alpha, beta, gamma, lam, mu, lam2, mu2, nu = (as_colour(c) for c in colours)
     report = ResidualReport()
     for x in probes:
         left_inner = coproduct(ColouredMapContext(p, lam, mu, nu), x)
-        lhs = _apply_slot_coproduct(left_inner, 0, ColouredMapContext(p, alpha, beta, lam))
-        lhs = sigma_pair_slot(gamma, mu, lhs, 2)
+        lhs = sigma_pair_slot(gamma, mu, left_inner, 1)
+        lhs = _apply_slot_coproduct(lhs, 0, ColouredMapContext(p, alpha, beta, lam))
 
         right_inner = coproduct(ColouredMapContext(p, lam2, mu2, nu), x)
-        rhs = _apply_slot_coproduct(right_inner, 1, ColouredMapContext(p, beta, gamma, mu2))
-        rhs = sigma_pair_slot(alpha, lam2, rhs, 0)
+        rhs = sigma_pair_slot(alpha, lam2, right_inner, 0)
+        rhs = _apply_slot_coproduct(rhs, 1, ColouredMapContext(p, beta, gamma, mu2))
 
         report.merge("bracketings", residual_between(lhs, rhs))
     return report

@@ -160,6 +160,10 @@ def _pruned(terms: dict | None) -> dict:
     if not terms:
         return {}
     tol = coefficients.PRUNE_TOL
+    # most maps drop nothing, and the test and the copy then run in C; a NaN
+    # minimum fails the test, and the filter keeps it
+    if min(map(abs, terms.values())) > tol:
+        return dict(terms)
     return {key: c for key, c in terms.items() if not abs(c) <= tol}
 
 
@@ -261,6 +265,58 @@ def relation_element(home: Home) -> AlgebraElement:
                                  UNIT_MONOMIAL: -inv})
 
 
+class _MulShape(NamedTuple):
+    """How the product of two basis words straightens, fixed by their odd
+    parts and the H degree of the right word."""
+
+    rows: tuple  # (H shift, extra q exponent, psi+, psi-, hc, factor index) per term
+    largest: float | None  # the largest |coefficient|; None when it depends on inv_denom
+    with_one: bool  # the psi- psi+ rewrite keeps its -psi+ psi- term, of modulus 1
+    h_largest: float  # the largest |hc|: 1 unless moving H past psi shifts it
+
+
+#: (e1, d1, e2, d2, b2) -> ``_MulShape``, filled on first use
+_MUL_SHAPES: dict[tuple[int, int, int, int, int], _MulShape] = {}
+
+
+def _mul_shape(e1: int, d1: int, e2: int, d2: int, b2: int) -> _MulShape:
+    """The table of the product (psi+)^e1 (psi-)^d1 H^b2 (psi+)^e2 (psi-)^d2.
+
+    Each row is one term hc pc H^(b1 + shift) q^(extra Z) (psi+)^e (psi-)^d,
+    ordered by the H term, then by the psi word.  The factor index picks pc
+    from (1, inv_denom, -inv_denom, -1).
+    """
+    # psi word (psi+)^e1 (psi-)^d1 (psi+)^e2 (psi-)^d2 -> normal form
+    largest = 1.0
+    with_one = False
+    if d1 == 0:
+        psi_terms = [] if e1 and e2 else [(e1 | e2, d2, 0j, 0)]
+    elif e2 == 0:
+        psi_terms = [] if d2 else [(e1, 1, 0j, 0)]
+    else:
+        # psi- psi+ = (q_c**(2Z) - 1)/(q_c**2 - 1) - psi+ psi-
+        psi_terms = [(e1, d2, 2.0 + 0j, 1), (e1, d2, 0j, 2)]
+        largest = None
+        if e1 == 0 and d2 == 0:
+            psi_terms.append((1, 1, 0j, 3))
+            with_one = True
+    if not psi_terms:
+        return _MulShape((), 0.0, False, 1.0)
+
+    # moving H^b2 left past the left word's psi part shifts H by 2(d1 - e1)
+    shift = 2 * (d1 - e1)
+    if shift == 0 or b2 == 0:
+        h_terms = [(b2, 1.0 + 0j)]
+    else:
+        h_terms = [(k, complex(math.comb(b2, k) * shift ** (b2 - k))) for k in range(b2 + 1)]
+    h_largest = _largest([hc for _, hc in h_terms])
+    if largest is not None:
+        largest *= h_largest
+    rows = tuple((dh, extra_q, pl, mi, hc, factor)
+                 for dh, hc in h_terms for pl, mi, extra_q, factor in psi_terms)
+    return _MulShape(rows, largest, with_one, h_largest)
+
+
 def _mono_mul(m1: PBWMonomial, m2: PBWMonomial, inv_denom: complex | None,
               ) -> tuple[list[tuple[PBWMonomial, complex]], float]:
     """Straighten the concatenation of two basis words into normal form.
@@ -269,52 +325,37 @@ def _mono_mul(m1: PBWMonomial, m2: PBWMonomial, inv_denom: complex | None,
     ``inv_denom`` is 1/(q**(2c) - 1) for the home copy, or None when the
     copy is too singular for the anticommutator rewrite (only an error if
     that rewrite is actually needed).
-    """
-    e1, d1 = m1.plus, m1.minus
-    e2, d2 = m2.plus, m2.minus
 
-    # psi word (psi+)^e1 (psi-)^d1 (psi+)^e2 (psi-)^d2 -> normal form
-    if d1 == 0:
-        if e1 and e2:
-            return [], 0.0
-        psi_terms = [(e1 | e2, d2, 0j, 1.0 + 0j)]
-        largest = 1.0
-    elif e2 == 0:
-        if d2:
-            return [], 0.0
-        psi_terms = [(e1, 1, 0j, 1.0 + 0j)]
-        largest = 1.0
-    else:
-        # psi- psi+ = (q_c**(2Z) - 1)/(q_c**2 - 1) - psi+ psi-
+    Which terms arise, their H shifts, psi words and integer factors hc
+    depend only on the odd parts of both words and the H degree of m2
+    (``_mul_shape``).  Per pair of words, each coefficient is hc times one
+    of 1, inv_denom, -inv_denom and -1, and Z degrees and exponents add.
+    """
+    z1, h1, q1, s1, e1, d1 = m1
+    z2, h2, q2, s2, e2, d2 = m2
+    key = (e1, d1, e2, d2, h2)
+    shape = _MUL_SHAPES.get(key)
+    if shape is None:
+        shape = _MUL_SHAPES[key] = _mul_shape(*key)
+    largest = shape.largest
+    if largest is None:
         if inv_denom is None:
             raise SingularParameterError(
                 "multiply: anticommutator rewrite needs |q**(2c) - 1| bounded away from 0"
             )
-        psi_terms = [(e1, d2, 2.0 + 0j, inv_denom), (e1, d2, 0j, -inv_denom)]
+        factors = (1.0 + 0j, inv_denom, -inv_denom, -1.0 + 0j)
         largest = abs(inv_denom)
-        if e1 == 0 and d2 == 0:
-            psi_terms.append((1, 1, 0j, -1.0 + 0j))
+        if shape.with_one:
             largest = max(largest, 1.0)
-
-    # moving H^b2 left past m1's psi part shifts H by 2(d1 - e1)
-    shift = 2 * (d1 - e1)
-    b2 = m2.h_deg
-    if shift == 0 or b2 == 0:
-        h_terms = [(m1.h_deg + b2, 1.0 + 0j)]
+        largest *= shape.h_largest
     else:
-        h_terms = [
-            (m1.h_deg + k, complex(math.comb(b2, k) * shift ** (b2 - k)))
-            for k in range(b2 + 1)
-        ]
-        largest *= _largest([hc for _, hc in h_terms])
-
-    z = m1.z_deg + m2.z_deg
-    qe = m1.q_exp + m2.q_exp
-    se = m1.s_exp + m2.s_exp
+        factors = (1.0 + 0j,)
+    z = z1 + z2
+    qe = q1 + q2
+    se = s1 + s2
     return [
-        (_exact_monomial((z, h, qe + extra_q, se, pl, mi)), hc * pc)
-        for h, hc in h_terms
-        for pl, mi, extra_q, pc in psi_terms
+        (_exact_monomial((z, h1 + dh, qe + extra_q, se, pl, mi)), hc * factors[factor])
+        for dh, extra_q, pl, mi, hc, factor in shape.rows
     ], largest
 
 
@@ -482,8 +523,9 @@ def substitute_slot(t: TensorElement, slot: int, image
         g = (g if g > t_gross else t_gross) * largest  # max() is slower here
         if g > gross:
             gross = g
+        head, tail = key[:slot], key[slot + 1:]
         for monos, c in pairs:
-            new_key = key[:slot] + monos + key[slot + 1:]
+            new_key = head + monos + tail
             out[new_key] = out.get(new_key, 0j) + coeff * c
     return out, gross
 

@@ -2,17 +2,30 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
+
+
+def worst(*residuals: float) -> float:
+    """The largest of ``residuals``, or NaN if any of them is NaN.
+
+    ``max`` keeps a NaN only in first place (max(nan, 1.0) is nan, but
+    max(1.0, nan) is 1.0), so every fold of residuals goes through here.
+    """
+    if any(math.isnan(r) for r in residuals):
+        return math.nan
+    return max(residuals)
 
 
 @dataclass
 class ResidualReport:
     """Outcome of one identity check over a probe or draw set: the largest
-    residual, and the largest residual of each sub-identity."""
+    residual, and the largest residual of each sub-identity.  A NaN residual
+    stays NaN whatever is merged after it."""
 
     max_residual: float = 0.0
     details: dict[str, float] = field(default_factory=dict)
 
     def merge(self, key: str, value: float):
-        self.details[key] = max(self.details.get(key, 0.0), value)
-        self.max_residual = max(self.max_residual, value)
+        self.details[key] = worst(self.details.get(key, 0.0), value)
+        self.max_residual = worst(self.max_residual, value)

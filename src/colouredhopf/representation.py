@@ -53,6 +53,7 @@ from .pbw_algebra import (
     relation_element,
     tensor_concat,
 )
+from .reporting import worst
 
 _E12 = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
 _E21 = np.array([[0.0, 0.0], [1.0, 0.0]], dtype=complex)
@@ -300,12 +301,12 @@ def check_intertwiner(p: ParamPoint, lam: complex, mu: complex, nu: complex) -> 
     fac = r_factorisation(p, lv, mv)
     r_mat, r_inv = fac.matrix(), fac.inverse_matrix()
     flip_ctx, ctx = ColouredMapContext(p, mv, lv, nv), ColouredMapContext(p, lv, mv, nv)
-    worst = 0.0
+    residual = 0.0
     for x in generators(Home(p, nv)).values():
         lhs = rep_tensor(graded_twist(coproduct(flip_ctx, x)))
         rhs = r_mat @ rep_tensor(coproduct(ctx, x)) @ r_inv
-        worst = max(worst, frobenius_residual(lhs, rhs))
-    return worst
+        residual = worst(residual, frobenius_residual(lhs, rhs))
+    return residual
 
 
 def _prefactor_8(p: ParamPoint, cq: tuple[complex, complex, complex],

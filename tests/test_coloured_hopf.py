@@ -226,11 +226,12 @@ def test_coproduct_rejects_foreign_elements():
         coproduct(ColouredMapContext(PC, 1.0, 1.0, 1.0), h_gen(Home(P)))
 
 
-def _multiplicative_coproduct(ctx, x):
+def _multiplicative_coproduct(ctx, x, factors=None):
     """D as the algebra map of its definition: for each basis word, a fold of
     tensor_multiply over the images of its PBW factors, exponents in units
-    of each slot's colour."""
-    rl, rm, a_l, a_m = _coproduct_factors(ctx)
+    of each slot's colour.  The scalars (lam/nu, mu/nu, a_lam/a_nu,
+    a_mu/a_nu) are ``factors``, or ``_coproduct_factors(ctx)`` without it."""
+    rl, rm, a_l, a_m = factors or _coproduct_factors(ctx)
     homes = ctx.out_homes
 
     def exp(qe, se):
@@ -270,6 +271,32 @@ def test_closed_form_coproduct_matches_multiplicative_definition():
                 x = AlgebraElement(home, {
                     PBWMonomial(z, h, qe, se, e, d): complex(*rng.normal(size=2))})
                 res = residual_between(coproduct(ctx, x), _multiplicative_coproduct(ctx, x))
+                assert res <= 1e-12, ((z, h, e, d), with_exp, res)
+
+
+def test_templated_coproduct_matches_product_of_generator_images():
+    """``coproduct`` on all 82 words of degree <= 4 (41 shapes, bare and
+    labelled) at three general colour triples equals the product of the
+    generator images D(Z), D(H) and D(psi+-) at (lam, mu, nu), whose scalars
+    come from the colours here and not from ``_coproduct_factors``."""
+    rng = np.random.default_rng(97)
+    shapes = [(z, h, e, d) for z in range(5) for h in range(5)
+              for e in range(2) for d in range(2) if z + h + e + d <= 4]
+    for point, (c1, c2, c3) in sample_params(101, 3):
+        ctx = ColouredMapContext(point, c1, c2, c3)
+        a_nu = colour_norm(point.q, ctx.nu)
+        factors = (ctx.lam / ctx.nu, ctx.mu / ctx.nu,
+                   colour_norm(point.q, ctx.lam) / a_nu, colour_norm(point.q, ctx.mu) / a_nu)
+        for z, h, e, d in shapes:
+            for with_exp in (False, True):
+                if with_exp:
+                    qe, se = complex(*rng.normal(0, 0.5, 2)), complex(*rng.normal(0, 0.5, 2))
+                else:
+                    qe = se = 0j
+                x = AlgebraElement(ctx.in_home, {
+                    PBWMonomial(z, h, qe, se, e, d): complex(*rng.normal(size=2))})
+                res = residual_between(coproduct(ctx, x),
+                                       _multiplicative_coproduct(ctx, x, factors))
                 assert res <= 1e-12, ((z, h, e, d), with_exp, res)
 
 
