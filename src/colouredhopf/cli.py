@@ -227,9 +227,6 @@ CHECKS = (
 #: the tolerances ``run_verification`` applies, read at call time
 DEFAULT_TOLERANCES = {c.name: c.tolerance for c in CHECKS}
 
-# short statements of the identity each check verifies (report metadata)
-CHECK_REFS = {c.name: c.paper_ref for c in CHECKS}
-
 
 def run_verification(seed: int = 0, draws: int = 100,
                      tolerances: dict[str, float] | None = None,
@@ -239,11 +236,11 @@ def run_verification(seed: int = 0, draws: int = 100,
     tol.update(tolerances or {})
     t0 = time.perf_counter()
 
-    worst = [math.inf if c.sense == ">" else 0.0 for c in CHECKS]
+    extremes = [math.inf if c.sense == ">" else 0.0 for c in CHECKS]
     for draw in _draws(seed, draws, guard):
         for i, check in enumerate(CHECKS):
             fold = min if check.sense == ">" else max
-            worst[i] = fold(worst[i], check.fn(draw))
+            extremes[i] = fold(extremes[i], check.fn(draw))
 
     checks = [{
         "name": c.name,
@@ -251,7 +248,7 @@ def run_verification(seed: int = 0, draws: int = 100,
         "max_residual": value,
         "tolerance": tol[c.name],
         "pass": c.passes(value, tol[c.name]),
-    } for c, value in zip(CHECKS, worst)]
+    } for c, value in zip(CHECKS, extremes)]
     return {
         "suite": "colouredhopf-verify",
         "seed": seed,

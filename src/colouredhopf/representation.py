@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -140,10 +141,9 @@ def coloured_R_closed_form(p: ParamPoint, lam: complex, mu: complex) -> np.ndarr
     return out
 
 
-def _graded_kron2(a: np.ndarray, b: np.ndarray, parity_b: int) -> np.ndarray:
-    """Order-2 operator tensor of 2x2 matrices with the super sign."""
-    kron = _kron(a, b)
-    return kron * _ODD_RIGHT_SIGNS if parity_b & 1 else kron
+def _graded_kron2(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Order-2 operator tensor of 2x2 matrices with the super sign, b odd."""
+    return _kron(a, b) * _ODD_RIGHT_SIGNS
 
 
 @dataclass
@@ -159,17 +159,17 @@ class RFactorisation:
     odd_right: np.ndarray
     coefficient: complex
 
-    def bracket_matrix(self) -> np.ndarray:
-        t = self.coefficient * _graded_kron2(self.odd_left, self.odd_right, 1)
-        return np.eye(4, dtype=complex) + t
+    @cached_property
+    def nilpotent(self) -> np.ndarray:
+        """The bracket's part coefficient * odd_left ox odd_right."""
+        return self.coefficient * _graded_kron2(self.odd_left, self.odd_right)
 
     def matrix(self) -> np.ndarray:
-        return self.diagonal_factor @ self.bracket_matrix()
+        return self.diagonal_factor @ (np.eye(4, dtype=complex) + self.nilpotent)
 
     def inverse_matrix(self) -> np.ndarray:
-        t = self.coefficient * _graded_kron2(self.odd_left, self.odd_right, 1)
         inv_diag = np.diag(1.0 / np.diag(self.diagonal_factor))
-        return (np.eye(4, dtype=complex) - t) @ inv_diag
+        return (np.eye(4, dtype=complex) - self.nilpotent) @ inv_diag
 
 
 _H_DIAG = np.array([1.0, -1.0])

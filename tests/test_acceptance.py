@@ -2,13 +2,16 @@
 
 Criteria 1-3 and 5-7 read their checks from one ``verify`` report over 100
 seeded draws, shared by the session; only criterion 4's branch-flip count
-and criterion 8's twist control run loops of their own.  Each test prints
-one PASS/FAIL line per check, so the suite doubles as a human-readable
-checklist (run with ``pytest tests/test_acceptance.py -v -s``).
+and criterion 8's twist control run loops of their own.  Criterion 8 plants
+the twist sign rule (deg a)(deg a) in ``pbw_algebra._twist_negates`` by
+monkeypatch, which reaches both the graded product and the twist.  Each
+test prints one PASS/FAIL line per check, so the suite doubles as a
+human-readable checklist (run with ``pytest tests/test_acceptance.py -v -s``).
 """
 
 import pytest
 
+from colouredhopf import pbw_algebra
 from colouredhopf.cli import run_verification
 from colouredhopf.coefficients import sample_params
 from colouredhopf.coloured_hopf import verify_bialgebra
@@ -86,13 +89,14 @@ def test_criterion_7_relation_preservation_oracle(verify_report):
                verify_report, {"relation_preservation": 1e-11})
 
 
-def test_criterion_8_bialgebra_twist_sign_sensitivity():
+def test_criterion_8_bialgebra_twist_sign_sensitivity(monkeypatch):
+    # plant the twist sign rule (deg a)(deg a) for the Koszul (deg a)(deg b)
+    monkeypatch.setattr(pbw_algebra, "_twist_negates", lambda a, b: bool(a.parity))
     weakest = float("inf")
     for point, (c1, c2, c3) in sample_params(0, 10):
         home = Home(point, c3)
         report = verify_bialgebra(
-            point, (c1, c2, c3),
-            [(psi_plus(home), psi_minus(home))], twist_sign="self")
+            point, (c1, c2, c3), [(psi_plus(home), psi_minus(home))])
         weakest = min(weakest, report.max_residual)
     assert _report("criterion 8: squared-degree twist breaks the bialgebra axiom",
                    weakest, 1e-3, exceed=True)

@@ -168,13 +168,10 @@ def test_kron_matches_numpy_bit_for_bit():
         assert _kron(a, b).tobytes() == np.kron(a, b).tobytes()
 
 
-def _graded_kron2_numpy(a, b, parity_b):
+def _graded_kron2_numpy(a, b):
     """`_graded_kron2` as it was before the kron helper and its sign constant."""
-    kron = np.kron(a, b)
-    if parity_b & 1:
-        signs = np.where(np.array([0, 0, 1, 1]) & 1, -1.0, 1.0)
-        kron = kron * signs[np.newaxis, :]
-    return kron
+    signs = np.where(np.array([0, 0, 1, 1]) & 1, -1.0, 1.0)
+    return np.kron(a, b) * signs[np.newaxis, :]
 
 
 def test_graded_kron2_matches_numpy_construction_bit_for_bit():
@@ -186,9 +183,7 @@ def test_graded_kron2_matches_numpy_construction_bit_for_bit():
         lam, mu = (complex(*rng.uniform(0.5, 1.5, size=2)) for _ in range(2))
         fac = r_factorisation(PC, lam, mu)
         for x, y in ((a, b), (fac.odd_left, fac.odd_right)):
-            for parity in (0, 1):
-                assert (_graded_kron2(x, y, parity).tobytes()
-                        == _graded_kron2_numpy(x, y, parity).tobytes()), parity
+            assert _graded_kron2(x, y).tobytes() == _graded_kron2_numpy(x, y).tobytes()
 
 
 def test_embed_identity():
