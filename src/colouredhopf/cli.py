@@ -7,7 +7,8 @@ Subcommands:
   ybe      single-point coloured graded Yang-Baxter residual
   sweep    CSV of Yang-Baxter / cross-validation residuals over a colour grid
 
-Exit codes: 0 success, 1 verification or domain failure, 2 usage error.
+Exit codes: 0 success, 1 verification or domain failure or an unwritable
+``--output``, 2 usage error.
 Complex values on the command line are written as "a+bi" literals and may
 start with a minus sign ("--s -0.5+1.2i").
 """
@@ -95,6 +96,21 @@ def _parse_tolerance_items(items, default_name: str | None = None) -> dict[str, 
             raise ValueError(f"unknown tolerance name {name!r}")
         out[name] = float(value)
     return out
+
+
+def _write_output(payload: str, path: str | None) -> bool:
+    """Write ``payload`` to the file ``path``, or to standard output without
+    one; on an unwritable path print an error line and return False."""
+    if not path:
+        sys.stdout.write(payload)
+        return True
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(payload)
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return False
+    return True
 
 
 # ---------------------------------------------------------------------------
@@ -270,12 +286,8 @@ def cmd_verify(args) -> int:
     except SingularParameterError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
-    payload = json.dumps(report, indent=2)
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(payload + "\n")
-    else:
-        print(payload)
+    if not _write_output(json.dumps(report, indent=2) + "\n", args.output):
+        return 1
     return 0 if report["pass"] else 1
 
 
@@ -311,12 +323,7 @@ def cmd_rmatrix(args) -> int:
             "crossval_residual": agreement,
             "entries": [[[float(e.real), float(e.imag)] for e in row] for row in matrix],
         }, indent=2)
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(payload + "\n")
-    else:
-        print(payload)
-    return 0
+    return 0 if _write_output(payload + "\n", args.output) else 1
 
 
 # ---------------------------------------------------------------------------
@@ -375,16 +382,10 @@ def cmd_sweep(args) -> int:
                     ybe = check_coloured_graded_ybe(point, lam, mu, nu,
                                                     embedded=(r12, r13, r23))
                     rows.append(f"{lam_prefix},{mu_s},{nu_s},{ybe!r},{cv}")
-        payload = "\n".join(rows) + "\n"
-        if args.output:
-            with open(args.output, "w", encoding="utf-8") as fh:
-                fh.write(payload)
-        else:
-            sys.stdout.write(payload)
-    except (SingularParameterError, ValueError, OSError) as exc:
+    except (SingularParameterError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    return 0
+    return 0 if _write_output("\n".join(rows) + "\n", args.output) else 1
 
 
 # ---------------------------------------------------------------------------

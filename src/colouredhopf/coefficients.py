@@ -165,8 +165,9 @@ def as_colour(nu: complex) -> complex:
     return v
 
 
-def _draw_unit_annulus(rng: np.random.Generator, lo: float = 0.5, hi: float = 2.0) -> complex:
-    r = rng.uniform(lo, hi)
+def _draw_unit_annulus(rng: np.random.Generator) -> complex:
+    """A point with modulus uniform in [0.5, 2] and a uniform angle."""
+    r = rng.uniform(0.5, 2.0)
     phi = rng.uniform(-np.pi, np.pi)
     return complex(r * np.cos(phi), r * np.sin(phi))
 

@@ -33,6 +33,7 @@ from .pbw_algebra import (
     Home,
     PBWMonomial,
     TensorElement,
+    _require_copy,
     generators,
     grading_automorphism,
     multiply,
@@ -103,10 +104,7 @@ def _pair_scales(lam: complex, mu: complex, home: Home) -> tuple[complex, comple
     with colour mu to the one with colour lam, applied on ``home``."""
     lam_val = as_colour(lam)
     mu_val = as_colour(mu)
-    if abs(home.colour - mu_val) > 1e-9 * max(1.0, abs(mu_val)):
-        raise ValueError(
-            f"sigma_pair: element lives at colour {home.colour}, expected {mu_val}"
-        )
+    _require_copy(home, home.point, mu_val, "sigma_pair")
     if lam_val == mu_val:
         odd = 1.0 + 0j
     else:

@@ -42,10 +42,12 @@ from .pbw_algebra import (
     Home,
     PBWMonomial,
     TensorElement,
+    _bounded,
     _exact_monomial,
     _home_mul_data,
-    _largest,
     _mul_terms,
+    _require_copy,
+    apply_linear,
     generators,
     multiply,
     relation_element,
@@ -79,15 +81,6 @@ class ColouredMapContext:
     @property
     def in_home(self) -> Home:
         return Home(self.p, self.nu)
-
-
-def _check_input_home(ctx: ColouredMapContext, home: Home, what: str):
-    if home.point.q != ctx.p.q or home.point.s != ctx.p.s:
-        raise ValueError(f"{what}: element belongs to a different parameter point")
-    if abs(home.colour - ctx.nu) > 1e-9 * max(1.0, abs(ctx.nu)):
-        raise ValueError(
-            f"{what}: element lives at colour {home.colour}, context expects {ctx.nu}"
-        )
 
 
 @precision_cache(maxsize=2048)
@@ -194,21 +187,11 @@ def _monomial_coproduct(m: PBWMonomial, rl: complex, rm: complex, a_l: complex, 
 
 def coproduct(ctx: ColouredMapContext, x: AlgebraElement) -> TensorElement:
     """Coloured comultiplication, evaluated in closed form per PBW monomial."""
-    _check_input_home(ctx, x.home, "coproduct")
+    _require_copy(x.home, ctx.p, ctx.nu, "coproduct")
     factors = _coproduct_factors(ctx)
-    acc: dict[tuple[PBWMonomial, ...], complex] = {}
-    x_gross = x.gross
-    gross = 0.0
-    for m, coeff in x.terms.items():
-        image = _monomial_coproduct(m, *factors)
-        for key, c in image:
-            acc[key] = acc.get(key, 0j) + coeff * c
-        # max(|coeff|, x_gross) spelled out: a call to max costs more per term
-        g = abs(coeff)
-        g = (g if g > x_gross else x_gross) * _largest([c for _, c in image])
-        if g > gross:
-            gross = g
-    return TensorElement(ctx.out_homes, acc, gross)
+    terms, gross = apply_linear(x.terms, x.gross,
+                                lambda m: _bounded(_monomial_coproduct(m, *factors)))
+    return TensorElement(ctx.out_homes, terms, gross)
 
 
 def _counit_is_one(m: PBWMonomial) -> bool:
@@ -219,7 +202,7 @@ def _counit_is_one(m: PBWMonomial) -> bool:
 
 def counit(ctx: ColouredMapContext, x: AlgebraElement) -> complex:
     """Coloured counit: kills the generators, sends exponentials to 1."""
-    _check_input_home(ctx, x.home, "counit")
+    _require_copy(x.home, ctx.p, ctx.nu, "counit")
     total = 0j
     for m, coeff in x.terms.items():
         if _counit_is_one(m):
@@ -270,19 +253,15 @@ def _monomial_antipode(m: PBWMonomial, factors: _AntipodeFactors,
 
 def antipode(ctx: ColouredMapContext, x: AlgebraElement) -> AlgebraElement:
     """Coloured antipode, extended as a graded anti-homomorphism."""
-    _check_input_home(ctx, x.home, "antipode")
+    _require_copy(x.home, ctx.p, ctx.nu, "antipode")
     factors = _antipode_factors(ctx)
-    acc: dict[PBWMonomial, complex] = {}
-    x_gross = x.gross
-    gross = 0.0
-    for m, coeff in x.terms.items():
-        image, image_gross = _monomial_antipode(m, factors)
-        _accumulate(acc, image, coeff)
-        g = abs(coeff)
-        g = (g if g > x_gross else x_gross) * image_gross
-        if g > gross:
-            gross = g
-    return AlgebraElement(factors.home, acc, gross)
+
+    def image(m):
+        terms, gross = _monomial_antipode(m, factors)
+        return terms.items(), gross
+
+    terms, gross = apply_linear(x.terms, x.gross, image)
+    return AlgebraElement(factors.home, terms, gross)
 
 
 # ---------------------------------------------------------------------------
@@ -357,17 +336,11 @@ def standard_antipode(p: ParamPoint, x: AlgebraElement) -> AlgebraElement:
 # slot application helpers
 # ---------------------------------------------------------------------------
 
-def _accumulate(acc: dict, terms: dict, scale: complex) -> None:
-    """Add ``scale * terms`` into the term map ``acc`` in place."""
-    for key, c in terms.items():
-        acc[key] = acc.get(key, 0j) + scale * c
-
-
 def _apply_slot_coproduct(t: TensorElement, slot: int, ctx: ColouredMapContext) -> TensorElement:
     """Apply a coloured comultiplication to one slot; order grows by one."""
     if t.order != 2:
         raise ValueError("_apply_slot_coproduct: start from an order-2 tensor")
-    _check_input_home(ctx, t.homes[slot], "coproduct")
+    _require_copy(t.homes[slot], ctx.p, ctx.nu, "coproduct")
     factors = _coproduct_factors(ctx)
     out, gross = substitute_slot(t, slot, lambda m: _monomial_coproduct(m, *factors))
     homes = t.homes[:slot] + ctx.out_homes + t.homes[slot + 1:]
@@ -393,24 +366,20 @@ def _antipode_convolution(t: TensorElement, slot: int, s_factors: _AntipodeFacto
     """
     other = 1 - slot
     ratio, odd, _ = _pair_scales(lam, t.homes[other].colour, t.homes[other])
-    acc: dict[PBWMonomial, complex] = {}
-    t_gross = t.gross
-    gross = 0.0
-    for key, coeff in t.terms.items():
+    inv = s_factors.inv_denom
+
+    def image(key):
         s_img, s_gross = _monomial_antipode(key[slot], s_factors)
         mono = key[other]
         sigma_img = {mono: _scaled_term(mono, 1.0 + 0j, ratio, odd)}
         if slot == 0:
-            product, product_gross = _mul_terms(s_img, sigma_img, s_factors.inv_denom, s_gross)
+            product, gross = _mul_terms(s_img, sigma_img, inv, s_gross)
         else:
-            product, product_gross = _mul_terms(sigma_img, s_img, s_factors.inv_denom,
-                                                0.0, s_gross)
-        _accumulate(acc, product, coeff)
-        g = abs(coeff)
-        g = (g if g > t_gross else t_gross) * product_gross
-        if g > gross:
-            gross = g
-    return AlgebraElement(s_factors.home, acc, gross)
+            product, gross = _mul_terms(sigma_img, s_img, inv, 0.0, s_gross)
+        return product.items(), gross
+
+    terms, gross = apply_linear(t.terms, t.gross, image)
+    return AlgebraElement(s_factors.home, terms, gross)
 
 
 # ---------------------------------------------------------------------------

@@ -138,17 +138,14 @@ class Home:
         return Home(self.point, self.colour * as_scalar(factor))
 
 
-def homes_close(a: Home, b: Home, rtol: float = 1e-9) -> bool:
-    if a is b:
-        return True
-    if a.point.q != b.point.q or a.point.s != b.point.s:
-        return False
-    return abs(a.colour - b.colour) <= rtol * max(1.0, abs(a.colour), abs(b.colour))
-
-
-def _require_same_home(a: Home, b: Home, what: str):
-    if not homes_close(a, b):
-        raise ValueError(f"{what}: operands live in different copies ({a} vs {b})")
+def _require_copy(home: Home, point: ParamPoint, colour: complex, what: str):
+    """Raise unless ``home`` is the copy with ``colour`` at ``point``: the same
+    root point, and colours within 1e-9 relative to the larger of 1 and
+    either colour's modulus."""
+    p = home.point
+    if not ((p is point or (p.q == point.q and p.s == point.s))
+            and abs(home.colour - colour) <= 1e-9 * max(1.0, abs(home.colour), abs(colour))):
+        raise ValueError(f"{what}: element lives in {home}, expected colour {colour} at {point}")
 
 
 def _pruned(terms: dict | None) -> dict:
@@ -195,7 +192,7 @@ class AlgebraElement:
         self.gross = gross
 
     def __add__(self, other: "AlgebraElement") -> "AlgebraElement":
-        _require_same_home(self.home, other.home, "add")
+        _require_copy(other.home, self.home.point, self.home.colour, "add")
         acc, gross = _sum_terms(self.terms, other.terms)
         return AlgebraElement(self.home, acc, max(gross, self.gross, other.gross))
 
@@ -390,7 +387,7 @@ def _mul_terms(xs: dict[PBWMonomial, complex], ys: dict[PBWMonomial, complex],
 
 def multiply(x: AlgebraElement, y: AlgebraElement) -> AlgebraElement:
     """Product in the home copy, straightened to PBW normal form."""
-    _require_same_home(x.home, y.home, "multiply")
+    _require_copy(y.home, x.home.point, x.home.colour, "multiply")
     terms, gross = _mul_terms(x.terms, y.terms, _home_mul_data(x.home), x.gross, y.gross)
     return AlgebraElement(x.home, terms, gross)
 
@@ -458,7 +455,7 @@ class TensorElement:
         if self.order != other.order:
             raise ValueError(f"{what}: tensor order mismatch")
         for a, b in zip(self.homes, other.homes):
-            _require_same_home(a, b, what)
+            _require_copy(b, a.point, a.colour, what)
 
     def __repr__(self):
         if not self.terms:
@@ -491,6 +488,34 @@ def tensor_concat(*parts: AlgebraElement | TensorElement) -> TensorElement:
     return TensorElement(tuple(homes), out, gross)
 
 
+def _bounded(pairs: list) -> tuple[list, float]:
+    """The image pairs with the largest modulus among their coefficients."""
+    return pairs, _largest([c for _, c in pairs])
+
+
+def apply_linear(terms: dict, gross: float, image) -> tuple[dict, float]:
+    """A linear map applied term by term: the unpruned term map and its gross.
+
+    ``image(key)`` returns ``(pairs, bound)``: the (key, coefficient) pairs
+    of the image of one basis key, and a bound on the moduli of those
+    coefficients and of every term summed into them.  A term ``coeff * key``
+    of an operand of gross ``gross`` then counts with
+    max(|coeff|, gross) * bound (README, "Residuals").
+    """
+    acc: dict = {}
+    out_gross = 0.0
+    for key, coeff in terms.items():
+        pairs, bound = image(key)
+        for new_key, c in pairs:
+            acc[new_key] = acc.get(new_key, 0j) + coeff * c
+        # max(|coeff|, gross) as a conditional: a call to max costs more per term
+        g = abs(coeff)
+        g = (g if g > gross else gross) * bound
+        if g > out_gross:
+            out_gross = g
+    return acc, out_gross
+
+
 def substitute_slot(t: TensorElement, slot: int, image
                     ) -> tuple[dict[tuple[PBWMonomial, ...], complex], float]:
     """Replace the monomial in ``slot`` of every term of t by its image.
@@ -498,29 +523,22 @@ def substitute_slot(t: TensorElement, slot: int, image
     ``image(m)`` returns a sequence of (monomial tuple, coefficient) pairs;
     a tuple of length 0, 1 or 2 drops, maps or splits the slot.  The map
     must be even, so no sign arises.  Each distinct slot monomial is mapped
-    once, with the largest modulus of its image.  Returns the unpruned term
-    map and its gross, for the caller to wrap with the homes of the result.
+    once, with the largest modulus of its image as its bound.  Returns
+    ``apply_linear``'s term map and gross, for the caller to wrap with the
+    homes of the result.
     """
     images: dict[PBWMonomial, tuple[list, float]] = {}
-    out: dict[tuple[PBWMonomial, ...], complex] = {}
-    t_gross = t.gross
-    gross = 0.0
-    for key, coeff in t.terms.items():
+
+    def key_image(key):
         m = key[slot]
         cached = images.get(m)
         if cached is None:
-            pairs = image(m)
-            cached = images[m] = (pairs, _largest([c for _, c in pairs]))
-        pairs, largest = cached
-        g = abs(coeff)
-        g = (g if g > t_gross else t_gross) * largest  # max() is slower here
-        if g > gross:
-            gross = g
+            cached = images[m] = _bounded(image(m))
+        pairs, bound = cached
         head, tail = key[:slot], key[slot + 1:]
-        for monos, c in pairs:
-            new_key = head + monos + tail
-            out[new_key] = out.get(new_key, 0j) + coeff * c
-    return out, gross
+        return [(head + monos + tail, c) for monos, c in pairs], bound
+
+    return apply_linear(t.terms, t.gross, key_image)
 
 
 def tensor_unit(homes: tuple[Home, ...]) -> TensorElement:
@@ -571,11 +589,9 @@ def graded_twist(u: TensorElement) -> TensorElement:
     """Swap the two slots with the Koszul sign (-1)**(deg a deg b)."""
     if u.order != 2:
         raise ValueError("graded_twist: order-2 tensors only")
-    out: dict[tuple[PBWMonomial, ...], complex] = {}
-    for (a, b), coeff in u.terms.items():
-        signed = -coeff if _twist_negates(a, b) else coeff
-        out[(b, a)] = out.get((b, a), 0j) + signed
-    return TensorElement((u.homes[1], u.homes[0]), out, u.gross)
+    return TensorElement((u.homes[1], u.homes[0]), {
+        (b, a): -coeff if _twist_negates(a, b) else coeff for (a, b), coeff in u.terms.items()
+    }, u.gross)
 
 
 # ---------------------------------------------------------------------------

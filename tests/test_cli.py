@@ -270,11 +270,20 @@ def test_sweep_reads_each_ybe_residual_from_the_check(tmp_path, monkeypatch):
     assert all(row[5] == "nan" for row in rows)
 
 
-def test_sweep_unwritable_output_fails(tmp_path, capsys):
-    rc = main(["sweep", "--q", "2", "--s", "1",
-               "--output", str(tmp_path / "missing" / "out.csv")])
+@pytest.mark.parametrize("argv", [
+    ["verify", "--draws", "1"],
+    ["rmatrix", "--q", "2", "--s", "1"],
+    ["sweep", "--q", "2", "--s", "1"],
+], ids=["verify", "rmatrix", "sweep"])
+def test_unwritable_output_fails(argv, tmp_path, capsys):
+    """An ``--output`` under a missing directory exits 1 with one error line
+    and nothing on standard output, for every command that writes a file."""
+    rc = main([*argv, "--output", str(tmp_path / "missing" / "out")])
     assert rc == 1
-    assert "error" in capsys.readouterr().err
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert "Traceback" not in captured.err
 
 
 @pytest.mark.parametrize("guard", ["-1", "0", "nan", "inf"])
