@@ -57,7 +57,7 @@ from .representation import (
     check_r_inverse,
     coloured_R_closed_form,
     crossval_residual,
-    embedded_R,
+    embed,
 )
 from .reporting import worst
 
@@ -299,7 +299,7 @@ def cmd_rmatrix(args) -> int:
     try:
         point = ParamPoint(args.q, args.s, args.guard)
         matrix = coloured_R_closed_form(point, args.lam, args.mu)
-        agreement = crossval_residual(point, args.lam, args.mu)
+        agreement = crossval_residual(point, args.lam, args.mu, closed=matrix)
     except (SingularParameterError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -366,18 +366,22 @@ def cmd_sweep(args) -> int:
             print("usage error: empty colour grid", file=sys.stderr)
             return 2
         rows = ["q,s,lambda,mu,nu,ybe_residual,crossval_residual"]
-        # each R-matrix of the grid is built and embedded once, kept by list
-        # position: 0j == -0j, so keying by value would merge two literals
-        r12s = [embedded_R(point, lam, mus, "12") for lam in lams]
-        r13s = [embedded_R(point, lam, nus, "13") for lam in lams]
-        r23s = [embedded_R(point, mu, nus, "23") for mu in mus]
+        # each closed-form R-matrix of the grid is built and embedded once,
+        # kept by list position: 0j == -0j, so keying by value would merge
+        # two literals.  R^{lam,mu} also serves as crossval's closed form.
+        r13s = [[embed(coloured_R_closed_form(point, lam, nu), "13") for nu in nus]
+                for lam in lams]
+        r23s = [[embed(coloured_R_closed_form(point, mu, nu), "23") for nu in nus]
+                for mu in mus]
         qs = f"{format_complex(point.q)},{format_complex(point.s)}"
         mu_text = [format_complex(mu) for mu in mus]
         nu_text = [format_complex(nu) for nu in nus]
-        for lam, r12_row, r13_row in zip(lams, r12s, r13s):
+        for lam, r13_row in zip(lams, r13s):
             lam_prefix = f"{qs},{format_complex(lam)}"
-            for mu, mu_s, r12, r23_row in zip(mus, mu_text, r12_row, r23s):
-                cv = repr(crossval_residual(point, lam, mu))
+            for mu, mu_s, r23_row in zip(mus, mu_text, r23s):
+                r_lm = coloured_R_closed_form(point, lam, mu)
+                cv = repr(crossval_residual(point, lam, mu, closed=r_lm))
+                r12 = embed(r_lm, "12")
                 for nu, nu_s, r13, r23 in zip(nus, nu_text, r13_row, r23_row):
                     ybe = check_coloured_graded_ybe(point, lam, mu, nu,
                                                     embedded=(r12, r13, r23))

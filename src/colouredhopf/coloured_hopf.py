@@ -27,7 +27,7 @@ arbiters for every convention choice made above.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import cycle
 from math import comb
 from typing import NamedTuple
@@ -62,32 +62,41 @@ from .reporting import ResidualReport
 
 @dataclass(frozen=True)
 class ColouredMapContext:
-    """Parameter point plus the colour labels (lam, mu) out / nu in."""
+    """Parameter point plus the colour labels (lam, mu) out / nu in.
+
+    Contexts compare and hash by (p, lam, mu, nu); ``out_homes`` follows
+    from them and is built once, on construction.
+    """
 
     p: ParamPoint
     lam: complex
     mu: complex
     nu: complex
+    out_homes: tuple[Home, Home] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "lam", as_colour(self.lam))
-        object.__setattr__(self, "mu", as_colour(self.mu))
+        lam, mu = as_colour(self.lam), as_colour(self.mu)
+        object.__setattr__(self, "lam", lam)
+        object.__setattr__(self, "mu", mu)
         object.__setattr__(self, "nu", as_colour(self.nu))
-
-    @property
-    def out_homes(self) -> tuple[Home, Home]:
-        return (Home(self.p, self.lam), Home(self.p, self.mu))
+        object.__setattr__(self, "out_homes", (Home(self.p, lam), Home(self.p, mu)))
 
     @property
     def in_home(self) -> Home:
         return Home(self.p, self.nu)
 
 
-@precision_cache(maxsize=2048)
 def _coproduct_factors(ctx: ColouredMapContext) -> tuple[complex, complex, complex, complex]:
     """Slot colour ratios lam/nu, mu/nu and odd-image scales a_lam/a_nu, a_mu/a_nu."""
-    lam, mu, nu = ctx.lam, ctx.mu, ctx.nu
-    q, guard = ctx.p.q, ctx.p.guard
+    return _colour_factors(ctx.p, ctx.lam, ctx.mu, ctx.nu)
+
+
+@precision_cache(maxsize=2048)
+def _colour_factors(p: ParamPoint, lam: complex, mu: complex, nu: complex
+                    ) -> tuple[complex, complex, complex, complex]:
+    """``_coproduct_factors`` cached by value, so that the cache holds no
+    context and none of the ``Home``s a context carries."""
+    q, guard = p.q, p.guard
     a_nu = colour_norm(q, nu, guard)
     return (lam / nu, mu / nu,
             colour_norm(q, lam, guard) / a_nu, colour_norm(q, mu, guard) / a_nu)
@@ -448,28 +457,34 @@ def verify_colour_transformations(
       s^mu_alpha o S^alpha_nu = S^mu_nu = S^mu_beta o s^beta_nu
     """
     lam, mu, alpha, beta, gamma, nu = (as_colour(c) for c in colours)
+    direct_ctx = ColouredMapContext(p, lam, mu, nu)
+    inner_ctx = ColouredMapContext(p, alpha, beta, nu)
+    shifted_ctx = ColouredMapContext(p, lam, mu, gamma)
+    counit_ctx = ColouredMapContext(p, lam, mu, alpha)
+    s_left_ctx = ColouredMapContext(p, lam, alpha, nu)
+    s_right_ctx = ColouredMapContext(p, lam, mu, beta)
     report = ResidualReport()
     for x in probes:
-        direct = coproduct(ColouredMapContext(p, lam, mu, nu), x)
+        direct = coproduct(direct_ctx, x)
 
-        inner = coproduct(ColouredMapContext(p, alpha, beta, nu), x)
+        inner = coproduct(inner_ctx, x)
         lhs = sigma_pair_slot(lam, alpha, inner, 0)
         lhs = sigma_pair_slot(mu, beta, lhs, 1)
         report.merge("coproduct_left", residual_between(lhs, direct))
 
         shifted = sigma_pair(gamma, nu, x)
-        rhs = coproduct(ColouredMapContext(p, lam, mu, gamma), shifted)
+        rhs = coproduct(shifted_ctx, shifted)
         report.merge("coproduct_right", residual_between(rhs, direct))
 
-        e_direct = counit(ColouredMapContext(p, lam, mu, nu), x)
-        e_via = counit(ColouredMapContext(p, lam, mu, alpha), sigma_pair(alpha, nu, x))
+        e_direct = counit(direct_ctx, x)
+        e_via = counit(counit_ctx, sigma_pair(alpha, nu, x))
         scale = max(1.0, abs(e_direct), abs(e_via))
         report.merge("counit", abs(e_direct - e_via) / scale)
 
-        s_direct = antipode(ColouredMapContext(p, lam, mu, nu), x)
-        s_left = sigma_pair(mu, alpha, antipode(ColouredMapContext(p, lam, alpha, nu), x))
+        s_direct = antipode(direct_ctx, x)
+        s_left = sigma_pair(mu, alpha, antipode(s_left_ctx, x))
         report.merge("antipode_left", residual_between(s_left, s_direct))
-        s_right = antipode(ColouredMapContext(p, lam, mu, beta), sigma_pair(beta, nu, x))
+        s_right = antipode(s_right_ctx, sigma_pair(beta, nu, x))
         report.merge("antipode_right", residual_between(s_right, s_direct))
     return report
 
@@ -493,15 +508,19 @@ def verify_coassociativity(
     which has several times as many.
     """
     alpha, beta, gamma, lam, mu, lam2, mu2, nu = (as_colour(c) for c in colours)
+    left_ctx = ColouredMapContext(p, lam, mu, nu)
+    left_slot_ctx = ColouredMapContext(p, alpha, beta, lam)
+    right_ctx = ColouredMapContext(p, lam2, mu2, nu)
+    right_slot_ctx = ColouredMapContext(p, beta, gamma, mu2)
     report = ResidualReport()
     for x in probes:
-        left_inner = coproduct(ColouredMapContext(p, lam, mu, nu), x)
+        left_inner = coproduct(left_ctx, x)
         lhs = sigma_pair_slot(gamma, mu, left_inner, 1)
-        lhs = _apply_slot_coproduct(lhs, 0, ColouredMapContext(p, alpha, beta, lam))
+        lhs = _apply_slot_coproduct(lhs, 0, left_slot_ctx)
 
-        right_inner = coproduct(ColouredMapContext(p, lam2, mu2, nu), x)
+        right_inner = coproduct(right_ctx, x)
         rhs = sigma_pair_slot(alpha, lam2, right_inner, 0)
-        rhs = _apply_slot_coproduct(rhs, 1, ColouredMapContext(p, beta, gamma, mu2))
+        rhs = _apply_slot_coproduct(rhs, 1, right_slot_ctx)
 
         report.merge("bracketings", residual_between(lhs, rhs))
     return report
@@ -519,16 +538,17 @@ def verify_counit_axiom(
         = (s^alpha_lam2 ox eps_mu2) o D^{lam2,mu2}_nu = s^alpha_nu
     """
     alpha, lam, mu, lam2, mu2, nu = (as_colour(c) for c in colours)
+    left_ctx, right_ctx = ColouredMapContext(p, lam, mu, nu), ColouredMapContext(p, lam2, mu2, nu)
     report = ResidualReport()
     for x in probes:
         target = sigma_pair(alpha, nu, x)
 
-        t1 = coproduct(ColouredMapContext(p, lam, mu, nu), x)
+        t1 = coproduct(left_ctx, x)
         left = _contract_counit_slot(t1, 0)
         left = sigma_pair(alpha, mu, left)
         report.merge("left_contraction", residual_between(left, target))
 
-        t2 = coproduct(ColouredMapContext(p, lam2, mu2, nu), x)
+        t2 = coproduct(right_ctx, x)
         right = _contract_counit_slot(t2, 1)
         right = sigma_pair(alpha, lam2, right)
         report.merge("right_contraction", residual_between(right, target))
@@ -552,14 +572,15 @@ def verify_antipode_axiom(
     out_home = Home(p, alpha)
     s_left = _antipode_factors(ColouredMapContext(p, alpha, alpha, lam))
     s_right = _antipode_factors(ColouredMapContext(p, alpha, alpha, mu2))
+    left_ctx, right_ctx = ColouredMapContext(p, lam, mu, nu), ColouredMapContext(p, lam2, mu2, nu)
     for x in probes:
-        target = unit(out_home).scaled(counit(ColouredMapContext(p, lam, mu, nu), x))
+        target = unit(out_home).scaled(counit(left_ctx, x))
 
-        t1 = coproduct(ColouredMapContext(p, lam, mu, nu), x)
+        t1 = coproduct(left_ctx, x)
         report.merge("left_convolution",
                      residual_between(_antipode_convolution(t1, 0, s_left, alpha), target))
 
-        t2 = coproduct(ColouredMapContext(p, lam2, mu2, nu), x)
+        t2 = coproduct(right_ctx, x)
         report.merge("right_convolution",
                      residual_between(_antipode_convolution(t2, 1, s_right, alpha), target))
     return report

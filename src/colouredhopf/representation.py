@@ -34,8 +34,8 @@ closed-form inverse are checked numerically on top.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
-from functools import cached_property
+import math
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -66,9 +66,18 @@ _PSI_MATS = {
 }
 
 
+def _frobenius(m: np.ndarray) -> float:
+    """||m||_F of a complex matrix, summed as ``np.linalg.norm`` sums it: the
+    dot product of the real parts plus that of the imaginary parts, in the
+    array's memory order, then the square root.  Only numpy's dispatch is cut."""
+    flat = m.ravel(order="K")
+    re, im = flat.real, flat.imag
+    return math.sqrt(re.dot(re) + im.dot(im))
+
+
 def frobenius_residual(a: np.ndarray, b: np.ndarray) -> float:
     """||a - b||_F normalised by max(1, ||a||_F)."""
-    return float(np.linalg.norm(a - b) / max(1.0, np.linalg.norm(a)))
+    return _frobenius(a - b) / max(1.0, _frobenius(a))
 
 
 def _mono_matrix(m: PBWMonomial, q: complex, s: complex, c: complex) -> np.ndarray:
@@ -131,14 +140,14 @@ def coloured_R_closed_form(p: ParamPoint, lam: complex, mu: complex) -> np.ndarr
     """The explicit 4x4 coloured R-matrix."""
     q, s = p.q, p.s
     lv, mv = as_colour(lam), as_colour(mu)
-    out = np.zeros((4, 4), dtype=complex)
-    out[0, 0] = cpow(q, (lv + mv) / 2) * cpow(s, (mv - lv) / 2)
-    out[1, 1] = cpow(q, (mv - lv) / 2) * cpow(s, (lv + mv) / 2)
-    out[2, 2] = cpow(q, (lv - mv) / 2) * cpow(s, -(lv + mv) / 2)
-    out[3, 3] = cpow(q, -(lv + mv) / 2) * cpow(s, (lv - mv) / 2)
-    out[1, 2] = ((q * q - 1.0) * colour_norm(q, lv, p.guard) * colour_norm(q, mv, p.guard)
-                 * cpow(q, -(lv + mv) / 2))
-    return out
+    q_neg = cpow(q, -(lv + mv) / 2)  # in R[3, 3] and in the off-diagonal entry
+    off = (q * q - 1.0) * colour_norm(q, lv, p.guard) * colour_norm(q, mv, p.guard) * q_neg
+    return np.array([
+        [cpow(q, (lv + mv) / 2) * cpow(s, (mv - lv) / 2), 0j, 0j, 0j],
+        [0j, cpow(q, (mv - lv) / 2) * cpow(s, (lv + mv) / 2), off, 0j],
+        [0j, 0j, cpow(q, (lv - mv) / 2) * cpow(s, -(lv + mv) / 2), 0j],
+        [0j, 0j, 0j, q_neg * cpow(s, (lv - mv) / 2)],
+    ], dtype=complex)
 
 
 def _graded_kron2(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -158,23 +167,23 @@ class RFactorisation:
     odd_left: np.ndarray
     odd_right: np.ndarray
     coefficient: complex
+    #: the bracket's part coefficient * odd_left ox odd_right, formed on construction
+    nilpotent: np.ndarray = field(init=False, repr=False, compare=False)
 
-    @cached_property
-    def nilpotent(self) -> np.ndarray:
-        """The bracket's part coefficient * odd_left ox odd_right."""
-        return self.coefficient * _graded_kron2(self.odd_left, self.odd_right)
+    def __post_init__(self):
+        self.nilpotent = self.coefficient * _graded_kron2(self.odd_left, self.odd_right)
 
     def matrix(self) -> np.ndarray:
-        return self.diagonal_factor @ (np.eye(4, dtype=complex) + self.nilpotent)
+        return self.diagonal_factor.dot(_EYE4 + self.nilpotent)
 
     def inverse_matrix(self) -> np.ndarray:
         inv_diag = np.diag(1.0 / np.diag(self.diagonal_factor))
-        return (np.eye(4, dtype=complex) - self.nilpotent) @ inv_diag
+        return (_EYE4 - self.nilpotent).dot(inv_diag)
 
 
-_H_DIAG = np.array([1.0, -1.0])
-_HZ_4 = np.repeat(_H_DIAG, 2)    # H ox Z eigenvalues on the tensor square
-_ZH_4 = np.tile(_H_DIAG, 2)      # Z ox H eigenvalues
+_EYE4 = np.eye(4, dtype=complex)
+#: (H ox Z, Z ox H) eigenvalues of each basis vector of the tensor square
+_HZ_ZH_4 = tuple(itertools.product((1.0, -1.0), repeat=2))
 
 #: the words s^(-Z/2) psi+ and s^(-Z/2) q^(-Z) psi- of the bracket term, on their own copies
 _BRACKET_LEFT = PBWMonomial(0, 0, 0j, -0.5 + 0j, 1, 0)
@@ -195,9 +204,8 @@ def r_factorisation(p: ParamPoint, lam: complex, mu: complex) -> RFactorisation:
     """Build the universal-route factorisation of the coloured R-matrix."""
     q, s = p.q, p.s
     lv, mv = as_colour(lam), as_colour(mu)
-    nq = (mv * _HZ_4 + lv * _ZH_4) / 2.0
-    ns = (mv * _HZ_4 - lv * _ZH_4) / 2.0
-    diag = np.diag([cpow(q, nq[i]) * cpow(s, ns[i]) for i in range(4)])
+    diag = np.diag([cpow(q, (mv * hz + lv * zh) / 2.0) * cpow(s, (mv * hz - lv * zh) / 2.0)
+                    for hz, zh in _HZ_ZH_4])
     coeff, left, right = r_bracket_factors(p, lv, mv)
     return RFactorisation(
         diagonal_factor=diag,
@@ -212,10 +220,16 @@ def coloured_R_from_universal(p: ParamPoint, lam: complex, mu: complex) -> np.nd
     return r_factorisation(p, lam, mu).matrix()
 
 
-def crossval_residual(p: ParamPoint, lam: complex, mu: complex) -> float:
-    """Disagreement between the universal route and the closed form."""
-    return frobenius_residual(coloured_R_closed_form(p, lam, mu),
-                              coloured_R_from_universal(p, lam, mu))
+def crossval_residual(p: ParamPoint, lam: complex, mu: complex,
+                      closed: np.ndarray | None = None) -> float:
+    """Disagreement between the universal route and the closed form.
+
+    ``closed`` passes the closed-form R^{lam,mu} already built for these
+    colours, as a sweep shares it; the universal route is always built here.
+    """
+    if closed is None:
+        closed = coloured_R_closed_form(p, lam, mu)
+    return frobenius_residual(closed, coloured_R_from_universal(p, lam, mu))
 
 
 # ---------------------------------------------------------------------------
@@ -254,11 +268,6 @@ def embed(m: np.ndarray, slot: str) -> np.ndarray:
     return out.reshape(8, 8)
 
 
-def embedded_R(p: ParamPoint, lam: complex, mus, slot: str) -> list[np.ndarray]:
-    """R^{lam, mu} embedded into ``slot``, for each mu of ``mus``."""
-    return [embed(coloured_R_closed_form(p, lam, mu), slot) for mu in mus]
-
-
 # ---------------------------------------------------------------------------
 # matrix-level checks
 # ---------------------------------------------------------------------------
@@ -281,7 +290,7 @@ def check_coloured_graded_ybe(p: ParamPoint, lam: complex, mu: complex, nu: comp
     elif perturb:
         raise ValueError("check_coloured_graded_ybe: perturb needs matrices built here")
     a, b, c = embedded
-    return frobenius_residual(a @ b @ c, c @ b @ a)
+    return frobenius_residual(a.dot(b).dot(c), c.dot(b).dot(a))
 
 
 def check_anticommutator(p: ParamPoint, nu: complex) -> float:

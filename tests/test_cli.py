@@ -195,9 +195,9 @@ def test_sweep_computes_crossval_once_per_lambda_mu(tmp_path, monkeypatch):
 
     calls = []
 
-    def counting(point, lam, mu):
+    def counting(point, lam, mu, *args, **kwargs):
         calls.append((lam, mu))
-        return crossval_residual(point, lam, mu)
+        return crossval_residual(point, lam, mu, *args, **kwargs)
 
     monkeypatch.setattr(cli, "crossval_residual", counting)
     out = tmp_path / "sweep.csv"
@@ -222,10 +222,11 @@ def test_sweep_computes_crossval_once_per_lambda_mu(tmp_path, monkeypatch):
 
 
 def test_sweep_builds_each_r_matrix_once(tmp_path, monkeypatch):
-    """Each R^{lam,mu} "12", R^{lam,nu} "13" and R^{mu,nu} "23" embedding is
-    built once per sweep, and the embeddings are kept by list position, so the
-    literals 0+1i and -0+1i (equal as numbers) each keep their own rows."""
-    from colouredhopf import representation
+    """Each closed form R^{lam,mu}, R^{lam,nu} and R^{mu,nu} and its "12",
+    "13" or "23" embedding is built once per sweep; crossval reuses R^{lam,mu}.
+    The matrices are kept by list position, so the literals 0+1i and -0+1i
+    (equal as numbers) each keep their own rows."""
+    from colouredhopf import cli, representation
 
     calls = {"embed": 0, "coloured_R_closed_form": 0}
 
@@ -237,15 +238,17 @@ def test_sweep_builds_each_r_matrix_once(tmp_path, monkeypatch):
             return original(*args, **kwargs)
         return wrapper
 
-    for name in calls:
-        monkeypatch.setattr(representation, name, counting(name))
+    for name in calls:  # the sweep calls both by cli's names, crossval by representation's
+        wrapper = counting(name)
+        monkeypatch.setattr(representation, name, wrapper)
+        monkeypatch.setattr(cli, name, wrapper)
     out = tmp_path / "sweep.csv"
     assert main(["sweep", "--q", "2", "--s", "1.5", "--lambda", "0+1i,-0+1i,1.5",
                  "--mu", "1,2i", "--nu", "1.2,0.5-0.3i,0.8,2", "--output", str(out)]) == 0
     n_lam, n_mu, n_nu = 3, 2, 4
     per_grid = n_lam * n_mu + n_lam * n_nu + n_mu * n_nu
     assert calls["embed"] <= per_grid  # 26; one per grid point and slot would be 72
-    assert calls["coloured_R_closed_form"] <= per_grid + n_lam * n_mu  # crossval takes one each
+    assert calls["coloured_R_closed_form"] == per_grid
     rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
     assert [row[2] for row in rows] == (["0.0+1.0i"] * 8 + ["-0.0+1.0i"] * 8 + ["1.5"] * 8)
 

@@ -51,6 +51,18 @@ P = ParamPoint(2.0, 1.5)
 PC = ParamPoint(0.7 + 0.9j, 1.1 - 0.4j)
 
 
+def test_context_builds_its_homes_once_and_compares_by_colours():
+    """A context's ``out_homes`` is built on construction, not per access, and
+    takes no part in equality or hashing, so per-context caches and the
+    benchmark's repeat tokens see equal colours as one context."""
+    ctx = ColouredMapContext(PC, 1.3 + 0.2j, 0.8, 1.1)
+    assert ctx.out_homes is ctx.out_homes
+    assert ctx.out_homes == (Home(PC, 1.3 + 0.2j), Home(PC, 0.8 + 0j))
+    twin = ColouredMapContext(PC, 1.3 + 0.2j, 0.8 + 0j, 1.1)
+    assert twin == ctx and hash(twin) == hash(ctx)
+    assert _coproduct_factors(twin) is _coproduct_factors(ctx)
+
+
 def test_coproduct_of_z_scales_by_colour_ratios():
     ctx = ColouredMapContext(P, 2.0, 3.0, 6.0)
     out = coproduct(ctx, z_gen(Home(P, 6.0)))

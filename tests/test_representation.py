@@ -1,3 +1,5 @@
+from functools import cached_property
+
 import numpy as np
 import pytest
 
@@ -29,6 +31,7 @@ from colouredhopf.representation import (
     crossval_residual,
     embed,
     frobenius_residual,
+    r_bracket_factors,
     r_factorisation,
     rep,
     rep_tensor,
@@ -184,6 +187,100 @@ def test_graded_kron2_matches_numpy_construction_bit_for_bit():
         fac = r_factorisation(PC, lam, mu)
         for x, y in ((a, b), (fac.odd_left, fac.odd_right)):
             assert _graded_kron2(x, y).tobytes() == _graded_kron2_numpy(x, y).tobytes()
+
+
+def _wide_complex(rng, n):
+    """An n x n complex matrix whose entry moduli span 1e-3 to 1e3."""
+    modulus = 10.0 ** rng.uniform(-3.0, 3.0, size=(n, n))
+    return modulus * np.exp(1j * rng.uniform(-np.pi, np.pi, size=(n, n)))
+
+
+def _frobenius_residual_numpy(a, b):
+    """`frobenius_residual` as it was, through ``np.linalg.norm``."""
+    return float(np.linalg.norm(a - b) / max(1.0, np.linalg.norm(a)))
+
+
+def test_frobenius_residual_matches_numpy_norm_bit_for_bit():
+    rng = np.random.default_rng(201)
+    for n in (4, 8) * 100:
+        a, b = _wide_complex(rng, n), _wide_complex(rng, n)
+        for lhs, rhs in ((a, b), (a, a + 1e-12 * b), (1e-4 * a, b), (a.T, b)):
+            assert repr(frobenius_residual(lhs, rhs)) == repr(_frobenius_residual_numpy(lhs, rhs))
+    for bad in (np.nan, np.inf, complex(0.0, np.nan)):
+        for which in (0, 1):
+            pair = [_wide_complex(rng, 4), _wide_complex(rng, 4)]
+            pair[which][1, 2] = bad
+            got = frobenius_residual(*pair)
+            with np.errstate(invalid="ignore"):
+                assert repr(got) == repr(_frobenius_residual_numpy(*pair))
+            assert not np.isfinite(got)
+
+
+def test_ybe_products_match_matmul_bit_for_bit():
+    """`check_coloured_graded_ybe` against the products as ``@`` forms them,
+    on random 8x8 matrices and on embedded R-matrices of sampled points."""
+    rng = np.random.default_rng(202)
+    triples = [tuple(_wide_complex(rng, 8) for _ in range(3)) for _ in range(200)]
+    for point, (c1, c2, c3) in sample_params(203, 50):
+        triples.append((embed(coloured_R_closed_form(point, c1, c2), "12"),
+                        embed(coloured_R_closed_form(point, c1, c3), "13"),
+                        embed(coloured_R_closed_form(point, c2, c3), "23")))
+    for a, b, c in triples:
+        want = _frobenius_residual_numpy(a @ b @ c, c @ b @ a)
+        assert repr(check_coloured_graded_ybe(PC, 1.0, 1.0, 1.0, embedded=(a, b, c))) == repr(want)
+
+
+def _closed_form_item_set(p, lam, mu):
+    """`coloured_R_closed_form` as it was: ``np.zeros``, then one entry at a time."""
+    q, s = p.q, p.s
+    lv, mv = complex(lam), complex(mu)
+    out = np.zeros((4, 4), dtype=complex)
+    out[0, 0] = cpow(q, (lv + mv) / 2) * cpow(s, (mv - lv) / 2)
+    out[1, 1] = cpow(q, (mv - lv) / 2) * cpow(s, (lv + mv) / 2)
+    out[2, 2] = cpow(q, (lv - mv) / 2) * cpow(s, -(lv + mv) / 2)
+    out[3, 3] = cpow(q, -(lv + mv) / 2) * cpow(s, (lv - mv) / 2)
+    out[1, 2] = ((q * q - 1.0) * colour_norm(q, lv, p.guard) * colour_norm(q, mv, p.guard)
+                 * cpow(q, -(lv + mv) / 2))
+    return out
+
+
+def test_closed_form_matches_item_set_build_bit_for_bit():
+    for point, (c1, c2, _) in sample_params(204, 300):
+        assert (coloured_R_closed_form(point, c1, c2).tobytes()
+                == _closed_form_item_set(point, c1, c2).tobytes())
+
+
+class _NumpyExponentFactorisation:
+    """`r_factorisation` as it was: exponents indexed from 4-element numpy
+    arrays, the nilpotent part a ``cached_property``, products by ``@``."""
+
+    def __init__(self, p, lam, mu):
+        hz, zh = np.repeat([1.0, -1.0], 2), np.tile([1.0, -1.0], 2)
+        lv, mv = complex(lam), complex(mu)
+        nq = (mv * hz + lv * zh) / 2.0
+        ns = (mv * hz - lv * zh) / 2.0
+        self.diagonal_factor = np.diag([cpow(p.q, nq[i]) * cpow(p.s, ns[i]) for i in range(4)])
+        self.coefficient, left, right = r_bracket_factors(p, lv, mv)
+        self.odd_left, self.odd_right = rep(left), rep(right)
+
+    @cached_property
+    def nilpotent(self):
+        return self.coefficient * _graded_kron2(self.odd_left, self.odd_right)
+
+    def matrix(self):
+        return self.diagonal_factor @ (np.eye(4, dtype=complex) + self.nilpotent)
+
+    def inverse_matrix(self):
+        inv_diag = np.diag(1.0 / np.diag(self.diagonal_factor))
+        return (np.eye(4, dtype=complex) - self.nilpotent) @ inv_diag
+
+
+def test_r_factorisation_matches_numpy_exponents_bit_for_bit():
+    for point, (c1, c2, _) in sample_params(205, 300):
+        fac, ref = r_factorisation(point, c1, c2), _NumpyExponentFactorisation(point, c1, c2)
+        assert fac.diagonal_factor.tobytes() == ref.diagonal_factor.tobytes()
+        assert fac.matrix().tobytes() == ref.matrix().tobytes()
+        assert fac.inverse_matrix().tobytes() == ref.inverse_matrix().tobytes()
 
 
 def test_embed_identity():
