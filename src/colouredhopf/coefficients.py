@@ -137,7 +137,9 @@ class ParamPoint:
     Both parameters are nonzero complex numbers and q must keep its distance
     from the q**2 == 1 singularity (the defining relations divide by
     q**2 - 1).  The guard is carried along so every colour normalisation
-    taken at this point is validated against the same threshold.
+    taken at this point is validated against the same threshold.  Points
+    compare and hash by (q, s); the hash is taken once, on construction,
+    since every cache keyed by a point or a copy hashes it again.
     """
 
     q: complex
@@ -155,6 +157,10 @@ class ParamPoint:
             )
         object.__setattr__(self, "q", q)
         object.__setattr__(self, "s", s)
+        object.__setattr__(self, "_hash", hash((q, s)))
+
+    def __hash__(self):
+        return self._hash
 
 
 def as_colour(nu: complex) -> complex:

@@ -27,6 +27,7 @@ from .coefficients import (
     colour_norm,
     cpow,
     effective_q_squared,
+    precision_cache,
 )
 from .pbw_algebra import (
     AlgebraElement,
@@ -34,11 +35,11 @@ from .pbw_algebra import (
     PBWMonomial,
     TensorElement,
     _require_copy,
+    apply_linear,
     generators,
     grading_automorphism,
     multiply,
     residual_between,
-    substitute_slot,
     unit,
 )
 from .reporting import worst
@@ -102,15 +103,24 @@ def sigma_inverse(nu: complex, x: AlgebraElement) -> AlgebraElement:
 def _pair_scales(lam: complex, mu: complex, home: Home) -> tuple[complex, complex, Home]:
     """Z ratio, odd scale and target home of the composite map from the copy
     with colour mu to the one with colour lam, applied on ``home``."""
+    scales = _pair_map(home.point, lam, mu)
+    _require_copy(home, home.point, mu, "sigma_pair")
+    return scales
+
+
+@precision_cache(maxsize=128)
+def _pair_map(point: ParamPoint, lam: complex, mu: complex) -> tuple[complex, complex, Home]:
+    """``_pair_scales`` of the copies with colours mu and lam at ``point``,
+    cached by value: a draw maps with about a dozen colour pairs, each up to
+    52 times."""
     lam_val = as_colour(lam)
     mu_val = as_colour(mu)
-    _require_copy(home, home.point, mu_val, "sigma_pair")
     if lam_val == mu_val:
         odd = 1.0 + 0j
     else:
-        q, guard = home.point.q, home.point.guard
+        q, guard = point.q, point.guard
         odd = colour_norm(q, lam_val, guard) / colour_norm(q, mu_val, guard)
-    return lam_val / mu_val, odd, Home(home.point, lam_val)
+    return lam_val / mu_val, odd, Home(point, lam_val)
 
 
 def sigma_pair(lam: complex, mu: complex, x: AlgebraElement) -> AlgebraElement:
@@ -123,11 +133,17 @@ def sigma_pair(lam: complex, mu: complex, x: AlgebraElement) -> AlgebraElement:
 def sigma_pair_slot(lam: complex, mu: complex, t: TensorElement, slot: int) -> TensorElement:
     """``sigma_pair(lam, mu, .)`` applied to one slot of a tensor.
 
-    The map is even, so no sign arises and the tensor order is kept.
+    The map is even, so no sign arises and the tensor order is kept.  It
+    is diagonal, so each term keeps its key and only its coefficient is
+    scaled.
     """
     ratio, odd, target = _pair_scales(lam, mu, t.homes[slot])
-    out, gross = substitute_slot(
-        t, slot, lambda m: (((m,), _scaled_term(m, 1.0 + 0j, ratio, odd)),))
+
+    def image(key):
+        c = _scaled_term(key[slot], 1.0 + 0j, ratio, odd)
+        return ((key, c),), abs(c)
+
+    out, gross = apply_linear(t.terms, t.gross, image)
     return TensorElement(t.homes[:slot] + (target,) + t.homes[slot + 1:], out, gross)
 
 

@@ -22,7 +22,9 @@ D copies their exponents into each slot unchanged, and S negates them.
 
 The verifiers compute both routes of each generalized axiom with the same
 engine primitives and report the normalised residual; they are the
-arbiters for every convention choice made above.
+arbiters for every convention choice made above.  The four probe verifiers
+take the coproducts of their probes from a ``SharedCoproducts`` when given
+one, so that the verifiers of one draw compute each of them once.
 """
 
 from __future__ import annotations
@@ -203,6 +205,33 @@ def coproduct(ctx: ColouredMapContext, x: AlgebraElement) -> TensorElement:
     return TensorElement(ctx.out_homes, terms, gross)
 
 
+class SharedCoproducts:
+    """``coproduct(ctx, x)`` taken once per context and probe: the probe
+    verifiers of one draw take D^{lam,mu}_nu and D^{lam2,mu2}_nu of the same
+    probes, and share them through one of these.
+
+    An entry is keyed by the context and the identity of the probe, and
+    holds the probe, so no identity is reused while the entry lives.  A miss
+    calls ``coproduct`` by this module's global name, looked up at call
+    time, so a map planted there reaches every check.  ``run_verification``
+    in ``cli`` makes one per draw and drops it with the draw; a verifier
+    called without one computes every coproduct afresh.
+    """
+
+    __slots__ = ("_entries",)
+
+    def __init__(self):
+        self._entries: dict[tuple[ColouredMapContext, int],
+                            tuple[AlgebraElement, TensorElement]] = {}
+
+    def __call__(self, ctx: ColouredMapContext, x: AlgebraElement) -> TensorElement:
+        key = (ctx, id(x))
+        entry = self._entries.get(key)
+        if entry is None:
+            entry = self._entries[key] = (x, coproduct(ctx, x))
+        return entry[1]
+
+
 def _counit_is_one(m: PBWMonomial) -> bool:
     """Whether the counit sends the basis word m to 1 rather than 0: m is a
     pure exponential, which is group-like."""
@@ -229,9 +258,15 @@ class _AntipodeFactors(NamedTuple):
 
 
 def _antipode_factors(ctx: ColouredMapContext) -> _AntipodeFactors:
-    mu, nu = ctx.mu, ctx.nu
-    q, guard = ctx.p.q, ctx.p.guard
-    home = Home(ctx.p, mu)
+    return _antipode_scalars(ctx.p, ctx.mu, ctx.nu)
+
+
+@precision_cache(maxsize=128)
+def _antipode_scalars(p: ParamPoint, mu: complex, nu: complex) -> _AntipodeFactors:
+    """``_antipode_factors`` cached by value, once per (point, mu, nu); a draw
+    takes antipodes with about six of them, each up to 52 times."""
+    q, guard = p.q, p.guard
+    home = Home(p, mu)
     psi_scale = -(colour_norm(q, mu, guard) / colour_norm(q, nu, guard))
     return _AntipodeFactors(home, -mu / nu, psi_scale, _home_mul_data(home))
 
@@ -356,13 +391,17 @@ def _apply_slot_coproduct(t: TensorElement, slot: int, ctx: ColouredMapContext) 
     return TensorElement(homes, out, gross)
 
 
-_COUNIT_ONE = (((), 1.0),)  # the counit's image of a pure exponential: drop the slot
-
-
 def _contract_counit_slot(t: TensorElement, slot: int) -> AlgebraElement:
-    """Contract one slot of an order-2 tensor with the coloured counit."""
-    out, gross = substitute_slot(t, slot, lambda m: _COUNIT_ONE if _counit_is_one(m) else ())
-    return AlgebraElement(t.homes[1 - slot], {mono: c for (mono,), c in out.items()}, gross)
+    """Contract one slot of an order-2 tensor with the coloured counit: a
+    term whose slot monomial is a pure exponential keeps its other
+    monomial, and every other term drops."""
+    other = 1 - slot
+
+    def image(key):
+        return (((key[other], 1.0),), 1.0) if _counit_is_one(key[slot]) else ((), 0.0)
+
+    terms, gross = apply_linear(t.terms, t.gross, image)
+    return AlgebraElement(t.homes[other], terms, gross)
 
 
 def _antipode_convolution(t: TensorElement, slot: int, s_factors: _AntipodeFactors,
@@ -447,6 +486,7 @@ def verify_colour_transformations(
     p: ParamPoint,
     colours: tuple[complex, complex, complex, complex, complex, complex],
     probes: list[AlgebraElement],
+    coproducts: SharedCoproducts | None = None,
 ) -> ResidualReport:
     """Transformation of the coloured maps under the colour group.
 
@@ -456,6 +496,7 @@ def verify_colour_transformations(
       eps_alpha o s^alpha_nu = eps_nu
       s^mu_alpha o S^alpha_nu = S^mu_nu = S^mu_beta o s^beta_nu
     """
+    of_probe = coproduct if coproducts is None else coproducts
     lam, mu, alpha, beta, gamma, nu = (as_colour(c) for c in colours)
     direct_ctx = ColouredMapContext(p, lam, mu, nu)
     inner_ctx = ColouredMapContext(p, alpha, beta, nu)
@@ -465,9 +506,9 @@ def verify_colour_transformations(
     s_right_ctx = ColouredMapContext(p, lam, mu, beta)
     report = ResidualReport()
     for x in probes:
-        direct = coproduct(direct_ctx, x)
+        direct = of_probe(direct_ctx, x)
 
-        inner = coproduct(inner_ctx, x)
+        inner = of_probe(inner_ctx, x)
         lhs = sigma_pair_slot(lam, alpha, inner, 0)
         lhs = sigma_pair_slot(mu, beta, lhs, 1)
         report.merge("coproduct_left", residual_between(lhs, direct))
@@ -493,6 +534,7 @@ def verify_coassociativity(
     p: ParamPoint,
     colours: tuple[complex, ...],
     probes: list[AlgebraElement],
+    coproducts: SharedCoproducts | None = None,
 ) -> ResidualReport:
     """Generalized coassociativity.
 
@@ -507,6 +549,7 @@ def verify_coassociativity(
     scales the terms of an order-2 tensor rather than of the order-3 one,
     which has several times as many.
     """
+    of_probe = coproduct if coproducts is None else coproducts
     alpha, beta, gamma, lam, mu, lam2, mu2, nu = (as_colour(c) for c in colours)
     left_ctx = ColouredMapContext(p, lam, mu, nu)
     left_slot_ctx = ColouredMapContext(p, alpha, beta, lam)
@@ -514,11 +557,11 @@ def verify_coassociativity(
     right_slot_ctx = ColouredMapContext(p, beta, gamma, mu2)
     report = ResidualReport()
     for x in probes:
-        left_inner = coproduct(left_ctx, x)
+        left_inner = of_probe(left_ctx, x)
         lhs = sigma_pair_slot(gamma, mu, left_inner, 1)
         lhs = _apply_slot_coproduct(lhs, 0, left_slot_ctx)
 
-        right_inner = coproduct(right_ctx, x)
+        right_inner = of_probe(right_ctx, x)
         rhs = sigma_pair_slot(alpha, lam2, right_inner, 0)
         rhs = _apply_slot_coproduct(rhs, 1, right_slot_ctx)
 
@@ -530,6 +573,7 @@ def verify_counit_axiom(
     p: ParamPoint,
     colours: tuple[complex, ...],
     probes: list[AlgebraElement],
+    coproducts: SharedCoproducts | None = None,
 ) -> ResidualReport:
     """Generalized counit axiom.
 
@@ -537,18 +581,19 @@ def verify_counit_axiom(
       (eps_lam ox s^alpha_mu) o D^{lam,mu}_nu
         = (s^alpha_lam2 ox eps_mu2) o D^{lam2,mu2}_nu = s^alpha_nu
     """
+    of_probe = coproduct if coproducts is None else coproducts
     alpha, lam, mu, lam2, mu2, nu = (as_colour(c) for c in colours)
     left_ctx, right_ctx = ColouredMapContext(p, lam, mu, nu), ColouredMapContext(p, lam2, mu2, nu)
     report = ResidualReport()
     for x in probes:
         target = sigma_pair(alpha, nu, x)
 
-        t1 = coproduct(left_ctx, x)
+        t1 = of_probe(left_ctx, x)
         left = _contract_counit_slot(t1, 0)
         left = sigma_pair(alpha, mu, left)
         report.merge("left_contraction", residual_between(left, target))
 
-        t2 = coproduct(right_ctx, x)
+        t2 = of_probe(right_ctx, x)
         right = _contract_counit_slot(t2, 1)
         right = sigma_pair(alpha, lam2, right)
         report.merge("right_contraction", residual_between(right, target))
@@ -559,6 +604,7 @@ def verify_antipode_axiom(
     p: ParamPoint,
     colours: tuple[complex, ...],
     probes: list[AlgebraElement],
+    coproducts: SharedCoproducts | None = None,
 ) -> ResidualReport:
     """Generalized antipode axiom.
 
@@ -567,6 +613,7 @@ def verify_antipode_axiom(
         = m o (s^alpha_lam2 ox S^alpha_mu2) o D^{lam2,mu2}_nu
         = unit * eps_nu
     """
+    of_probe = coproduct if coproducts is None else coproducts
     alpha, lam, mu, lam2, mu2, nu = (as_colour(c) for c in colours)
     report = ResidualReport()
     out_home = Home(p, alpha)
@@ -576,11 +623,11 @@ def verify_antipode_axiom(
     for x in probes:
         target = unit(out_home).scaled(counit(left_ctx, x))
 
-        t1 = coproduct(left_ctx, x)
+        t1 = of_probe(left_ctx, x)
         report.merge("left_convolution",
                      residual_between(_antipode_convolution(t1, 0, s_left, alpha), target))
 
-        t2 = coproduct(right_ctx, x)
+        t2 = of_probe(right_ctx, x)
         report.merge("right_convolution",
                      residual_between(_antipode_convolution(t2, 1, s_right, alpha), target))
     return report

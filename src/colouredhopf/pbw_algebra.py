@@ -143,6 +143,9 @@ def _require_copy(home: Home, point: ParamPoint, colour: complex, what: str):
     root point, and colours within 1e-9 relative to the larger of 1 and
     either colour's modulus."""
     p = home.point
+    # the common case, the very point and an equal colour, needs no arithmetic
+    if p is point and home.colour == colour:
+        return
     if not ((p is point or (p.q == point.q and p.s == point.s))
             and abs(home.colour - colour) <= 1e-9 * max(1.0, abs(home.colour), abs(colour))):
         raise ValueError(f"{what}: element lives in {home}, expected colour {colour} at {point}")

@@ -12,8 +12,9 @@ def worst(*residuals: float) -> float:
     ``max`` keeps a NaN only in first place (max(nan, 1.0) is nan, but
     max(1.0, nan) is 1.0), so every fold of residuals goes through here.
     """
-    if any(math.isnan(r) for r in residuals):
-        return math.nan
+    for r in residuals:
+        if r != r:  # NaN, the one value unequal to itself
+            return math.nan
     return max(residuals)
 
 
@@ -27,5 +28,13 @@ class ResidualReport:
     details: dict[str, float] = field(default_factory=dict)
 
     def merge(self, key: str, value: float):
-        self.details[key] = worst(self.details.get(key, 0.0), value)
-        self.max_residual = worst(self.max_residual, value)
+        # ``worst`` of two, written out: this runs once per probe and identity
+        if value != value:
+            self.details[key] = self.max_residual = math.nan
+            return
+        details = self.details
+        old = details.get(key, 0.0)
+        # a NaN already held compares false and stays
+        details[key] = value if value > old else old
+        if value > self.max_residual:
+            self.max_residual = value

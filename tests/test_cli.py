@@ -1,4 +1,5 @@
 import json
+import math
 from pathlib import Path
 
 import pytest
@@ -100,6 +101,75 @@ def test_seed_2859_fails_only_its_negative_control(report_2859):
     failing = [(c["name"], c["max_residual"]) for c in report_2859["checks"] if not c["pass"]]
     assert failing == [("ybe_negative_control", 6.463626675445826e-07)]
     assert sum(c["pass"] for c in report_2859["checks"]) == len(CHECKS) - 1
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 1")
+def test_nan_negative_control_fails_the_run(monkeypatch):
+    """A NaN reading of the ">" check ybe_negative_control must fail it and
+    the run.  ``run_verification`` folds that check with the builtin
+    ``min``, and min(inf, nan) is inf, so the check reads inf and passes."""
+    from colouredhopf import cli
+
+    original = cli.check_coloured_graded_ybe
+
+    def nan_when_perturbed(*args, perturb=0.0, **kwargs):
+        return math.nan if perturb else original(*args, perturb=perturb, **kwargs)
+
+    monkeypatch.setattr(cli, "check_coloured_graded_ybe", nan_when_perturbed)
+    report = run_verification(0, 2)
+    control = next(c for c in report["checks"] if c["name"] == "ybe_negative_control")
+    assert not control["pass"] and not report["pass"], control
+
+
+def test_sharing_a_draws_coproducts_changes_no_bit(monkeypatch):
+    """``run_verification`` shares each draw's probe coproducts among the
+    four probe verifiers.  On seed-0 draws 0-4 every verifier's residual and
+    details are repr-identical with and without the sharing, the run's 14
+    maxima equal the fold of the checks on the unshared draws, and no
+    memo outlives the run."""
+    import weakref
+
+    from colouredhopf import cli
+    from colouredhopf.coefficients import DEFAULT_GUARD
+    from colouredhopf.coloured_hopf import (
+        SharedCoproducts,
+        verify_antipode_axiom,
+        verify_coassociativity,
+        verify_colour_transformations,
+        verify_counit_axiom,
+    )
+
+    draws = list(cli._draws(0, 5, DEFAULT_GUARD))
+    for d in draws:
+        assert d.coproducts is None
+        runs = (
+            (verify_colour_transformations, (d.lam, d.mu, d.l1, d.l2, d.alpha, d.nu)),
+            (verify_coassociativity, (d.l1, d.l2, d.alpha, d.lam, d.mu, d.lam2, d.mu2, d.nu)),
+            (verify_counit_axiom, (d.alpha, d.lam, d.mu, d.lam2, d.mu2, d.nu)),
+            (verify_antipode_axiom, (d.alpha, d.lam, d.mu, d.lam2, d.mu2, d.nu)),
+        )
+        shared = SharedCoproducts()
+        for verifier, colours in runs:
+            alone = verifier(d.point, colours, d.probes)
+            with_shared = verifier(d.point, colours, d.probes, shared)
+            assert repr((alone.max_residual, alone.details)) == repr(
+                (with_shared.max_residual, with_shared.details)), verifier.__name__
+        # D^{lam,mu}_nu, D^{lam2,mu2}_nu and the inner D^{l1,l2}_nu of each probe
+        assert len(shared._entries) == 3 * len(d.probes)
+
+    made = []
+
+    class Recorded(SharedCoproducts):
+        def __init__(self):
+            super().__init__()
+            made.append(weakref.ref(self))
+
+    monkeypatch.setattr(cli, "SharedCoproducts", Recorded)
+    report = run_verification(0, 5)
+    assert len(made) == 5 and all(ref() is None for ref in made)
+    for check, row in zip(CHECKS, report["checks"]):
+        fold = min if check.sense == ">" else max
+        assert repr(row["max_residual"]) == repr(fold(check.fn(d) for d in draws)), check.name
 
 
 def test_run_verification_tolerance_override_only_affects_named_check():

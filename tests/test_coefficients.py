@@ -114,3 +114,32 @@ def test_sample_params_deterministic():
 def test_sample_params_rejects_bad_count():
     with pytest.raises(ValueError):
         sample_params(0, 0)
+
+
+def test_every_cache_in_the_package_is_bounded_and_follows_the_precision():
+    """Every ``functools.lru_cache`` in the package has a finite ``maxsize``,
+    and every one whose function takes arguments is a ``precision_cache``,
+    which ``working_precision`` empties, so that none serves a double
+    scalar inside the block.  A cache of a function without arguments holds
+    its one value, into which no scalar enters (``cli.build_parser``)."""
+    import importlib
+    import inspect
+    import pkgutil
+
+    import colouredhopf
+    from colouredhopf import coefficients
+
+    caches = {}
+    for info in pkgutil.iter_modules(colouredhopf.__path__):
+        module = importlib.import_module(f"colouredhopf.{info.name}")
+        for name, value in vars(module).items():
+            if hasattr(value, "cache_parameters") and value.__module__ == module.__name__:
+                caches[f"{info.name}.{name}"] = value
+    assert {"colour_group._pair_map", "coloured_hopf._antipode_scalars",
+            "cli.build_parser"} <= set(caches)
+    registered = coefficients._PRECISION_CACHES
+    assert all(any(c is cache for cache in caches.values()) for c in registered)
+    for name, cache in caches.items():
+        assert cache.cache_parameters()["maxsize"] is not None, name
+        if inspect.signature(cache).parameters:
+            assert any(cache is c for c in registered), name

@@ -511,7 +511,7 @@ def _reference_slot_maps(t, slot, lam, ctx):
         t, slot, lambda m: coloured_hopf._monomial_coproduct(m, *factors))
     split = TensorElement(head + ctx.out_homes + tail, out, gross)
     out, gross = _reference_substitute_slot(
-        t, slot, lambda m: coloured_hopf._COUNIT_ONE if coloured_hopf._counit_is_one(m) else ())
+        t, slot, lambda m: (((), 1.0),) if coloured_hopf._counit_is_one(m) else ())
     contracted = AlgebraElement(t.homes[1 - slot], {m: c for (m,), c in out.items()}, gross)
     return sigma, split, contracted
 

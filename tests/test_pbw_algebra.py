@@ -27,6 +27,7 @@ from colouredhopf.pbw_algebra import (
     _exact_monomial,
     _largest,
     _mono_mul,
+    _require_copy,
 )
 from colouredhopf.representation import rep
 
@@ -286,6 +287,31 @@ def test_mismatched_homes_rejected():
     other = Home(ParamPoint(3.0, 1.5))
     with pytest.raises(ValueError):
         multiply(h_gen(HOME), h_gen(other))
+
+
+def test_copy_check_keeps_its_rule_beside_the_identity_fast_path():
+    """``_require_copy`` returns at once for the very point and an equal
+    colour; every other pair of homes still meets the full rule: the same
+    root point by value, and colours within 1e-9 of the larger of 1 and
+    either modulus."""
+    point = ParamPoint(0.7 + 0.9j, 1.1 - 0.4j)
+    colour = 1.5 - 0.75j
+    home = Home(point, colour)
+    scale = abs(colour)
+    _require_copy(home, point, colour, "test")
+    _require_copy(home, ParamPoint(0.7 + 0.9j, 1.1 - 0.4j), colour, "test")
+    _require_copy(home, point, colour + 0.5e-9 * scale, "test")
+    _require_copy(Home(ParamPoint(0.7 + 0.9j, 1.1 - 0.4j), colour + 0.5e-9j * scale),
+                  point, colour, "test")
+    for other_point, other_colour in ((point, colour + 2e-9 * scale),
+                                      (point, colour * (1 + 2e-9j)),
+                                      (point, complex("nan")),
+                                      (ParamPoint(0.7 + 0.9j, 1.1 + 0.4j), colour),
+                                      (ParamPoint(0.7 - 0.9j, 1.1 - 0.4j), colour)):
+        with pytest.raises(ValueError, match="element lives in"):
+            _require_copy(home, other_point, other_colour, "test")
+    with pytest.raises(ValueError, match="element lives in"):
+        _require_copy(Home(point, complex("nan")), point, complex("nan"), "test")
 
 
 def test_tensor_order_mismatch_rejected():
