@@ -30,7 +30,7 @@ from .coefficients import (
     ParamPoint,
     SingularParameterError,
     draw_colours,
-    sample_params,
+    iter_params,
 )
 from .coloured_hopf import (
     ColouredMapContext,
@@ -140,11 +140,12 @@ class Draw(NamedTuple):
 
 
 def _draws(seed: int, draws: int, guard: float) -> Iterator[Draw]:
-    """The verify draws: (point, l1, l2, nu) from ``sample_params``, then five
-    more colours, the labels of the probes and of the reduction probes, and
-    the random pair, from one second stream."""
+    """The verify draws: (point, l1, l2, nu) from ``sample_params``'s stream,
+    taken one draw at a time, then five more colours, the labels of the
+    probes and of the reduction probes, and the random pair, from one second
+    stream."""
     rng = np.random.default_rng(seed + 1)
-    for index, (point, (l1, l2, nu)) in enumerate(sample_params(seed, draws, guard)):
+    for index, (point, (l1, l2, nu)) in enumerate(iter_params(seed, draws, guard)):
         alpha, lam, mu, lam2, mu2 = draw_colours(rng, point.q, 5, guard)
         probes = basis_probes(point, nu, rng)
         reduction_probes = basis_probes(point, 1.0, rng)
@@ -412,6 +413,14 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _non_negative_int(text: str) -> int:
+    """A seed: numpy's ``default_rng`` takes no negative integer."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError("must be >= 0")
+    return value
+
+
 def _guard(text: str) -> float:
     value = float(text)
     if not (math.isfinite(value) and value > 0):
@@ -456,7 +465,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_verify = sub.add_parser("verify", help="run all verifiers, emit JSON report")
-    p_verify.add_argument("--seed", type=int, default=0)
+    p_verify.add_argument("--seed", type=_non_negative_int, default=0)
     p_verify.add_argument("--draws", type=_positive_int, default=100)
     p_verify.add_argument("--tolerance", action="append", metavar="NAME=VALUE",
                           help="override a check tolerance (repeatable)")

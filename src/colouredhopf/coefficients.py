@@ -14,6 +14,7 @@ A colour is a plain nonzero complex number, an element of GL(1, C);
 from __future__ import annotations
 
 import cmath
+from collections.abc import Iterator
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -44,14 +45,20 @@ _SCALAR, _EXP, _LOG = complex, cmath.exp, cmath.log
 #: caches of scalars computed at the working precision, emptied when it changes
 _PRECISION_CACHES: list = []
 
+#: entries each ``precision_cache`` keeps.  A request's working set is far
+#: smaller: at most 10 keys per cache in one verify draw, 32 over the four
+#: contexts a deep probe cycles through, and 12 colour norms in a 4x4x4
+#: sweep.  Draws and sweeps bring fresh colours, so an older entry is never
+#: read again and a larger bound would only hold dead scalars.
+PRECISION_CACHE_SIZE = 128
 
-def precision_cache(maxsize: int):
-    """``lru_cache`` for a function whose results depend on the working precision."""
-    def decorate(fn):
-        cached = lru_cache(maxsize=maxsize)(fn)
-        _PRECISION_CACHES.append(cached)
-        return cached
-    return decorate
+
+def precision_cache(fn):
+    """``lru_cache`` of ``PRECISION_CACHE_SIZE`` entries for a function whose
+    results depend on the working precision."""
+    cached = lru_cache(maxsize=PRECISION_CACHE_SIZE)(fn)
+    _PRECISION_CACHES.append(cached)
+    return cached
 
 
 def as_scalar(value) -> complex:
@@ -109,7 +116,7 @@ def effective_q_squared(q: complex, colour: complex = 1.0) -> complex:
     return cpow(q, 2.0 * _SCALAR(colour))
 
 
-@precision_cache(maxsize=4096)
+@precision_cache
 def _colour_norm_cached(q: complex, nu: complex, guard: float) -> complex:
     denom = effective_q_squared(q) - 1.0
     if abs(denom) < guard:
@@ -222,14 +229,22 @@ def sample_params(
     identical sequences.  A guard that no draw can meet raises
     :class:`SingularParameterError`.
     """
+    return list(iter_params(seed, count, guard, colours_per_draw))
+
+
+def iter_params(
+    seed: int,
+    count: int,
+    guard: float = DEFAULT_GUARD,
+    colours_per_draw: int = 3,
+) -> Iterator[tuple[ParamPoint, tuple[complex, ...]]]:
+    """The draws of :func:`sample_params`, one at a time, so that a caller
+    holds one draw instead of all ``count``."""
     if count < 1:
         raise ValueError("sample_params: count must be >= 1")
     rng = np.random.default_rng(seed)
-    draws = []
     for _ in range(count):
         q = _draw_admissible(rng, lambda z: abs(z * z - 1.0) >= guard,
                              f"q with |q**2 - 1| >= {guard}")
         s = _draw_unit_annulus(rng)
-        point = ParamPoint(q, s, guard)
-        draws.append((point, draw_colours(rng, q, colours_per_draw, guard)))
-    return draws
+        yield ParamPoint(q, s, guard), draw_colours(rng, q, colours_per_draw, guard)

@@ -108,7 +108,7 @@ def _pair_scales(lam: complex, mu: complex, home: Home) -> tuple[complex, comple
     return scales
 
 
-@precision_cache(maxsize=128)
+@precision_cache
 def _pair_map(point: ParamPoint, lam: complex, mu: complex) -> tuple[complex, complex, Home]:
     """``_pair_scales`` of the copies with colours mu and lam at ``point``,
     cached by value: a draw maps with about a dozen colour pairs, each up to

@@ -93,7 +93,7 @@ def _coproduct_factors(ctx: ColouredMapContext) -> tuple[complex, complex, compl
     return _colour_factors(ctx.p, ctx.lam, ctx.mu, ctx.nu)
 
 
-@precision_cache(maxsize=2048)
+@precision_cache
 def _colour_factors(p: ParamPoint, lam: complex, mu: complex, nu: complex
                     ) -> tuple[complex, complex, complex, complex]:
     """``_coproduct_factors`` cached by value, so that the cache holds no
@@ -261,7 +261,7 @@ def _antipode_factors(ctx: ColouredMapContext) -> _AntipodeFactors:
     return _antipode_scalars(ctx.p, ctx.mu, ctx.nu)
 
 
-@precision_cache(maxsize=128)
+@precision_cache
 def _antipode_scalars(p: ParamPoint, mu: complex, nu: complex) -> _AntipodeFactors:
     """``_antipode_factors`` cached by value, once per (point, mu, nu); a draw
     takes antipodes with about six of them, each up to 52 times."""

@@ -352,7 +352,7 @@ def _mono_mul(m1: PBWMonomial, m2: PBWMonomial, inv_denom: complex | None,
     ], largest
 
 
-@precision_cache(maxsize=4096)
+@precision_cache
 def _home_mul_data(home: Home) -> complex | None:
     """1/(q**(2c) - 1) of the copy, or None when it is too singular."""
     denom = home.effective_q_squared() - 1.0

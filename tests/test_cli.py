@@ -7,11 +7,13 @@ import pytest
 from colouredhopf.cli import (
     CHECKS,
     DEFAULT_TOLERANCES,
+    _draws,
     format_complex,
     main,
     parse_complex,
     run_verification,
 )
+from colouredhopf.coefficients import DEFAULT_GUARD
 
 
 def test_parse_complex_literals():
@@ -52,6 +54,32 @@ def test_verify_zero_draws_is_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["verify", "--draws", "0"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("argv", [["--seed", "-1"], ["--seed=-1"], ["--seed", "1.5"]])
+def test_verify_seed_must_be_a_non_negative_integer(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--draws", "1"] + argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: ") and "--seed" in err
+    assert "Traceback" not in err
+
+
+def test_verify_draws_are_streamed():
+    """Taking the first draw of a long run holds that draw, not the
+    parameters of every draw of the run (about 465 bytes each)."""
+    import tracemalloc
+
+    draws = _draws(0, 20000, DEFAULT_GUARD)
+    tracemalloc.start()
+    try:
+        first = next(draws)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert first.index == 0
+    assert peak < 1_000_000, peak
 
 
 def test_verify_unknown_tolerance_is_usage_error(capsys):

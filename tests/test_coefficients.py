@@ -116,18 +116,25 @@ def test_sample_params_rejects_bad_count():
         sample_params(0, 0)
 
 
-def test_every_cache_in_the_package_is_bounded_and_follows_the_precision():
+def test_every_cache_in_the_package_is_bounded_and_follows_the_precision(tmp_path):
     """Every ``functools.lru_cache`` in the package has a finite ``maxsize``,
     and every one whose function takes arguments is a ``precision_cache``,
     which ``working_precision`` empties, so that none serves a double
     scalar inside the block.  A cache of a function without arguments holds
-    its one value, into which no scalar enters (``cli.build_parser``)."""
+    its one value, into which no scalar enters (``cli.build_parser``).
+
+    Every ``precision_cache`` keeps the one bound, and a request's working
+    set stays well inside it: one verify draw, and the colour norms of one
+    4x4x4 sweep, miss each cache at most a quarter of the bound times.  A
+    working set that outgrows the bound fails here, instead of recomputing
+    its scalars without a sign."""
     import importlib
     import inspect
     import pkgutil
 
     import colouredhopf
     from colouredhopf import coefficients
+    from colouredhopf.cli import main, run_verification
 
     caches = {}
     for info in pkgutil.iter_modules(colouredhopf.__path__):
@@ -143,3 +150,25 @@ def test_every_cache_in_the_package_is_bounded_and_follows_the_precision():
         assert cache.cache_parameters()["maxsize"] is not None, name
         if inspect.signature(cache).parameters:
             assert any(cache is c for c in registered), name
+
+    bound = coefficients.PRECISION_CACHE_SIZE
+    assert len(registered) == 5
+    assert all(c.cache_parameters()["maxsize"] == bound for c in registered)
+
+    def misses():
+        return [c.cache_info().misses for c in registered]
+
+    for cache in registered:
+        cache.cache_clear()
+    for seed in range(5):
+        before = misses()
+        run_verification(seed, 1)
+        for cache, old, new in zip(registered, before, misses()):
+            assert 0 < new - old <= bound // 4, (cache.__wrapped__.__name__, seed, new - old)
+
+    norms = coefficients._colour_norm_cached
+    before = norms.cache_info().misses
+    assert main(["sweep", "--q", "2", "--s", "1.5", "--lambda", "1,2,0.5+0.5i,1.3-0.2i",
+                 "--mu", "1,1.5,2i,0.7+0.1i", "--nu", "1.2,0.9-0.4i,1.1j,0.6",
+                 "--output", str(tmp_path / "sweep.csv")]) == 0
+    assert 0 < norms.cache_info().misses - before <= bound // 4

@@ -4,15 +4,18 @@ Mutation testing in the sense of DeMillo, Lipton and Sayward, "Hints on
 test data selection" (IEEE Computer, 1978).  Each row of ``MUTATIONS``
 plants one defect by monkeypatch, never through a flag of the package, and
 names the checks it must push to at least 1e3 times their tolerance over
-the first 5 seed-0 verify draws, with the worst reading recorded for each.
-A plant's docstring says which checks do not see it, and why.
+the first 5 seed-0 verify draws, with the worst reading recorded for each;
+a negative control (sense ">") is caught when its smallest reading falls
+to a thousandth of its floor.  Every check has a row.  A plant's docstring
+says which checks do not see it, and why.
 """
 
 import collections
 
+import numpy as np
 import pytest
 
-from colouredhopf import coloured_hopf, pbw_algebra
+from colouredhopf import colour_group, coloured_hopf, pbw_algebra, representation
 from colouredhopf.cli import CHECKS, _draws
 from colouredhopf.coefficients import DEFAULT_GUARD, ParamPoint
 from colouredhopf.coloured_hopf import ColouredMapContext, antipode, coproduct
@@ -103,7 +106,86 @@ def squared_degree_twist(monkeypatch):
     monkeypatch.setattr(pbw_algebra, "_twist_negates", lambda a, b: bool(a.parity))
 
 
-#: (plant, {check: worst reading over the 5 draws with the plant in place})
+def scaled_r_diagonal(monkeypatch):
+    """R[0, 0] of the closed-form R-matrix times 1 + 1e-6.
+
+    crossval compares the closed form with the universal route, and ybe,
+    hexagons and reduction's colour-1 YBE multiply it.  No symbolic check
+    builds a matrix, intertwiner and r_inverse take the universal route, and
+    ybe_negative_control reads as without the plant.
+    """
+    original = representation.coloured_R_closed_form
+
+    def scaled(*args):
+        r = original(*args)
+        r[0, 0] *= 1.0 + 1e-6
+        return r
+
+    monkeypatch.setattr(representation, "coloured_R_closed_form", scaled)
+
+
+def unsigned_embedding_13(monkeypatch):
+    """R_13 placed into the tensor cube without its Koszul signs.
+
+    ybe, reduction (its YBE at colour 1) and hexagons embed into slots 1 and
+    3; ybe_negative_control still reads far above its floor.  crossval,
+    intertwiner and r_inverse act on the tensor square only, and no
+    symbolic check embeds.
+    """
+    tgt, src, sgn = representation._EMBEDDINGS["13"]
+    monkeypatch.setitem(representation._EMBEDDINGS, "13", (tgt, src, np.abs(sgn)))
+
+
+def signed_nilpotent_inverse(monkeypatch):
+    """The closed-form inverse of R with (1 + N) for (1 - N).
+
+    r_inverse compares it with the numeric inverse, and intertwiner
+    conjugates by it.  crossval and the YBE and hexagon checks build R
+    itself, never its inverse, and no symbolic check inverts R.
+    """
+    def inverse_matrix(self):
+        inv_diag = np.diag(1.0 / np.diag(self.diagonal_factor))
+        return (representation._EYE4 + self.nilpotent).dot(inv_diag)
+
+    monkeypatch.setattr(representation.RFactorisation, "inverse_matrix", inverse_matrix)
+
+
+def scaled_local_scale(monkeypatch):
+    """The odd scale of every single colour map times 1 + 1e-6.
+
+    group_laws composes and inverts ``sigma`` and ``sigma_inverse``, which
+    scale by ``_local_scale``.  The structure maps and ``sigma_pair`` take
+    their odd scales from ratios of colour norms, and the matrix layer does
+    not map colours, so every other check stays at rounding level.
+    """
+    original = colour_group._local_scale
+    monkeypatch.setattr(colour_group, "_local_scale",
+                        lambda *args: original(*args) * (1.0 + 1e-6))
+
+
+def zero_r_off_diagonal(monkeypatch):
+    """The closed-form R-matrix without its off-diagonal entry R[1, 2].
+
+    A diagonal R solves the YBE, and the negative control's perturbation
+    scales the zero entry, so ybe_negative_control falls to rounding level:
+    the control's power rests on that entry.  crossval and hexagons compare
+    the closed form with routes that keep the entry.  ybe and reduction's
+    colour-1 YBE do not see the plant, since a diagonal R solves the YBE,
+    nor do the symbolic checks, intertwiner and r_inverse, which build no
+    closed form.
+    """
+    original = representation.coloured_R_closed_form
+
+    def diagonal(*args):
+        r = original(*args)
+        r[1, 2] = 0j
+        return r
+
+    monkeypatch.setattr(representation, "coloured_R_closed_form", diagonal)
+
+
+#: (plant, {check: worst reading over the 5 draws with the plant in place}); the
+#: worst reading of a negative control is its smallest
 MUTATIONS = (
     (dropped_koszul_sign, {"antipode_axiom": 1.0, "bialgebra": 1.58, "reduction": 2.0}),
     (dropped_antipode_sign, {"antipode_axiom": 1.0, "reduction": 2.0}),
@@ -116,6 +198,12 @@ MUTATIONS = (
         "reduction": 1.0}),
     (squared_degree_twist, {
         "bialgebra": 2.0, "relation_preservation": 1.0, "reduction": 2.0, "intertwiner": 2.0}),
+    (scaled_r_diagonal, {
+        "reduction": 5.5e-7, "crossval": 6.1e-7, "ybe": 7.4e-7, "hexagons": 1.7e-6}),
+    (unsigned_embedding_13, {"reduction": 1.08, "ybe": 1.01, "hexagons": 1.19}),
+    (signed_nilpotent_inverse, {"intertwiner": 453.0, "r_inverse": 1.85}),
+    (scaled_local_scale, {"group_laws": 4.0e-6}),
+    (zero_r_off_diagonal, {"crossval": 2.41, "ybe_negative_control": 1.1e-16, "hexagons": 1.0}),
 )
 
 
@@ -126,8 +214,17 @@ def test_planted_defect_is_caught(plant, readings, monkeypatch):
     draws = list(_draws(0, 5, DEFAULT_GUARD))
     checks = {c.name: c for c in CHECKS}
     for name, recorded in readings.items():
-        worst = max(checks[name].fn(d) for d in draws)
-        assert worst >= 1e3 * checks[name].tolerance, (name, worst, recorded)
+        check = checks[name]
+        if check.sense == ">":
+            worst = min(check.fn(d) for d in draws)
+            assert worst <= check.tolerance / 1e3, (name, worst, recorded)
+        else:
+            worst = max(check.fn(d) for d in draws)
+            assert worst >= 1e3 * check.tolerance, (name, worst, recorded)
+
+
+def test_every_check_has_a_row():
+    assert {name for _, readings in MUTATIONS for name in readings} == {c.name for c in CHECKS}
 
 
 def test_plants_reach_the_whole_element_and_slot_routes(monkeypatch):
