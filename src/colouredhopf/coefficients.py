@@ -2,22 +2,24 @@
 
 Every fractional power taken anywhere in the package is routed through
 :func:`cpow`, so a single principal-branch convention governs all modules,
-and every scalar coercion through :func:`as_scalar`.  Together they are the
-one hook that sets the working precision: double-precision ``complex`` by
-default, or ``mpmath`` at a raised precision inside
-:func:`working_precision`, which the test suite uses to tell rounding from
-defects.  The deformation parameters live on the immutable ``ParamPoint``.
-A colour is a plain nonzero complex number, an element of GL(1, C);
-:func:`as_colour` is the one place that coerces and validates it.
+and every scalar coercion through :func:`as_scalar`.  Both read the numeric
+format from one :class:`Precision`, the module's ``precision``: ``DOUBLE``,
+Python ``complex``, by default, and ``mpmath`` scalars at a raised
+precision inside :func:`working_precision`, which the test suite uses to
+tell rounding from defects.  ``precision`` is the one module-level name
+rebound at run time.  The deformation parameters live on the immutable
+``ParamPoint``.  A colour is a plain nonzero complex number, an element of
+GL(1, C); :func:`as_colour` is the one place that coerces and validates it.
 """
 
 from __future__ import annotations
 
 import cmath
-from collections.abc import Iterator
+from collections.abc import Callable, Iterator
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -27,10 +29,6 @@ DEFAULT_GUARD = 0.1
 #: hard floor on |q**(2c) - 1| below which a copy's divisions are refused
 SINGULAR_FLOOR = 1e-9
 
-#: coefficients with modulus at or below this are dropped from element maps;
-#: about 45 ulp at double precision, and 10**(2 - dps) inside ``working_precision``
-PRUNE_TOL = 1e-14
-
 #: draws allowed per sampled value before the guard is declared unsatisfiable
 MAX_REJECTIONS = 10_000
 
@@ -39,8 +37,25 @@ class SingularParameterError(ValueError):
     """A deformation parameter sits too close to the q**2 == 1 singularity."""
 
 
-#: the scalar type and its exp and principal log, set by ``working_precision``
-_SCALAR, _EXP, _LOG = complex, cmath.exp, cmath.log
+class Precision(NamedTuple):
+    """The numeric format of the symbolic layer's scalars.
+
+    ``scalar`` coerces a number to the format, ``exp`` and ``log`` are its
+    exponential and principal logarithm, and coefficients of modulus at or
+    below ``prune_tol`` are dropped from element maps.
+    """
+
+    scalar: Callable
+    exp: Callable
+    log: Callable
+    prune_tol: float
+
+
+#: Python ``complex``; its prune threshold is about 45 ulp
+DOUBLE = Precision(complex, cmath.exp, cmath.log, 1e-14)
+
+#: the working precision, rebound only by ``working_precision``
+precision = DOUBLE
 
 #: caches of scalars computed at the working precision, emptied when it changes
 _PRECISION_CACHES: list = []
@@ -63,16 +78,19 @@ def precision_cache(fn):
 
 def as_scalar(value) -> complex:
     """Coerce a number to the scalar type of the working precision."""
-    return _SCALAR(value)
+    return precision.scalar(value)
 
 
 @contextmanager
 def working_precision(dps: int):
     """Run the block with ``mpmath`` scalars at ``dps`` significant digits.
 
-    Rebinds the scalar coercion, ``cpow``'s exp and log, and ``PRUNE_TOL``
-    (to 10**(2 - dps)), and empties every ``precision_cache`` on entry and
-    on exit.  Exponents of monomials stay floats: the symbolic layer never
+    Inside ``mpmath.workdps(dps)``, rebinds ``precision`` to ``mpmath.mpc``
+    with mpmath's exp and log and a prune threshold of 10**(2 - dps), and
+    empties every ``precision_cache`` on entry and on exit, so that no
+    cache serves a scalar of the other precision.  On exit, also by an
+    exception, the precision and ``mpmath.mp.dps`` are the ones before the
+    block.  Exponents of monomials stay floats: the symbolic layer never
     evaluates them.  The matrix layer stays on numpy and is not covered.
 
     Coefficients a caller built before the block stay doubles:
@@ -81,20 +99,20 @@ def working_precision(dps: int):
     lifts its inputs first with ``x.scaled(1.0)``, as
     ``tests/test_working_precision.py`` does.
     """
-    global _SCALAR, _EXP, _LOG, PRUNE_TOL
+    global precision
     import mpmath
 
-    saved = (_SCALAR, _EXP, _LOG, PRUNE_TOL, mpmath.mp.dps)
-    mpmath.mp.dps = dps
-    _SCALAR, _EXP, _LOG, PRUNE_TOL = mpmath.mpc, mpmath.exp, mpmath.log, 10.0 ** (2 - dps)
-    for cache in _PRECISION_CACHES:
-        cache.cache_clear()
-    try:
-        yield
-    finally:
-        _SCALAR, _EXP, _LOG, PRUNE_TOL, mpmath.mp.dps = saved
+    outer = precision
+    with mpmath.workdps(dps):
+        precision = Precision(mpmath.mpc, mpmath.exp, mpmath.log, 10.0 ** (2 - dps))
         for cache in _PRECISION_CACHES:
             cache.cache_clear()
+        try:
+            yield
+        finally:
+            precision = outer
+            for cache in _PRECISION_CACHES:
+                cache.cache_clear()
 
 
 def cpow(base: complex, exponent: complex) -> complex:
@@ -104,16 +122,17 @@ def cpow(base: complex, exponent: complex) -> complex:
     base is rejected: the colour and deformation parameters are drawn from
     the punctured plane, so a vanishing base always signals a usage error.
     """
-    b = _SCALAR(base)
+    scalar, exp, log, _ = precision
+    b = scalar(base)
     if b == 0:
         raise ValueError("cpow: base must be nonzero")
-    return _EXP(_SCALAR(exponent) * _LOG(b))
+    return exp(scalar(exponent) * log(b))
 
 
 def effective_q_squared(q: complex, colour: complex = 1.0) -> complex:
     """The square q**(2c) of the deformation parameter of the copy with
     colour ``c``, under one global branch choice."""
-    return cpow(q, 2.0 * _SCALAR(colour))
+    return cpow(q, 2.0 * precision.scalar(colour))
 
 
 @precision_cache
@@ -134,7 +153,7 @@ def colour_norm(q: complex, nu: complex, guard: float = DEFAULT_GUARD) -> comple
     |q**2 - 1| is below ``guard``; callers serving a ``ParamPoint`` pass its
     guard.
     """
-    return _colour_norm_cached(_SCALAR(q), as_colour(nu), guard)
+    return _colour_norm_cached(precision.scalar(q), as_colour(nu), guard)
 
 
 @dataclass(frozen=True)
@@ -154,8 +173,8 @@ class ParamPoint:
     guard: float = field(default=DEFAULT_GUARD, compare=False, repr=False)
 
     def __post_init__(self):
-        q = _SCALAR(self.q)
-        s = _SCALAR(self.s)
+        q = precision.scalar(self.q)
+        s = precision.scalar(self.s)
         if q == 0 or s == 0:
             raise ValueError("ParamPoint: q and s must be nonzero")
         if abs(q * q - 1.0) < self.guard:
@@ -172,7 +191,7 @@ class ParamPoint:
 
 def as_colour(nu: complex) -> complex:
     """Coerce a colour argument to a validated nonzero complex number."""
-    v = _SCALAR(nu)
+    v = precision.scalar(nu)
     if v == 0:
         raise ValueError("colour value must be nonzero")
     return v

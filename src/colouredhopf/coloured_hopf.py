@@ -117,13 +117,12 @@ class _CoproductShape(NamedTuple):
     """What D does to every basis word of one shape Z^a H^b (psi+)^e (psi-)^d;
     only the colour scalars and the word's exponential label vary."""
 
-    odd_images: tuple  # the ``_ODD_IMAGES`` the table was read from
     evens: tuple[tuple[int, int, int, int, int], ...]  # (k, j, a - k, b - j, binomial)
     picks: tuple[tuple, ...]  # per choice of odd-image terms: slot offsets and odd bits
     steps: tuple[tuple, ...]  # per odd image: per earlier choice, (scalar index, sign) pairs
 
 
-#: (a, b, e, d) -> ``_CoproductShape``, filled on first use
+#: (a, b, e, d) -> ``_CoproductShape``, filled on first use from ``_ODD_IMAGES``
 _COPRODUCT_SHAPES: dict[tuple[int, int, int, int], _CoproductShape] = {}
 
 
@@ -133,14 +132,14 @@ def _coproduct_shape(a: int, b: int, plus: int, minus: int) -> _CoproductShape:
     The terms are ordered by the even term (k, j), then by the choice of a
     term of each odd image, psi+ first.  A row of ``picks`` holds the q and
     s exponents that one choice appends to slot 1, summed here (grid
-    exponents add exactly), its odd bits, and the same for slot 2.  A step of ``steps`` appends one odd image: for each
-    choice made so far, the scalar index (0 for a_lam, 1 for a_mu) of each
-    of the image's two terms and whether the Koszul sign falls there,
-    because the term's slot-1 factor is odd and crosses an odd slot 2.
-    Rebinding ``_ODD_IMAGES`` rebuilds the table.
+    exponents add exactly), its odd bits, and the same for slot 2.  A step
+    of ``steps`` appends one odd image: for each choice made so far, the
+    scalar index (0 for a_lam, 1 for a_mu) of each of the image's two terms
+    and whether the Koszul sign falls there, because the term's slot-1
+    factor is odd and crosses an odd slot 2.
     """
     shape = _COPRODUCT_SHAPES.get((a, b, plus, minus))
-    if shape is not None and shape.odd_images is _ODD_IMAGES:
+    if shape is not None:
         return shape
     picks = [(0j, 0j, 0, 0, 0j, 0j, 0, 0)]
     steps = []
@@ -158,7 +157,7 @@ def _coproduct_shape(a: int, b: int, plus: int, minus: int) -> _CoproductShape:
     evens = tuple((k, j, a - k, b - j, comb(a, k) * comb(b, j))
                   for k in range(a + 1) for j in range(b + 1))
     shape = _COPRODUCT_SHAPES[(a, b, plus, minus)] = _CoproductShape(
-        _ODD_IMAGES, evens, tuple(picks), tuple(steps))
+        evens, tuple(picks), tuple(steps))
     return shape
 
 
@@ -214,8 +213,9 @@ class SharedCoproducts:
     holds the probe, so no identity is reused while the entry lives.  A miss
     calls ``coproduct`` by this module's global name, looked up at call
     time, so a map planted there reaches every check.  ``run_verification``
-    in ``cli`` makes one per draw and drops it with the draw; a verifier
-    called without one computes every coproduct afresh.
+    in ``cli`` makes one per draw and drops it with the draw, and
+    ``verify_bialgebra`` one per call; a probe verifier called without one
+    computes every coproduct afresh.
     """
 
     __slots__ = ("_entries",)
@@ -654,12 +654,11 @@ def verify_bialgebra(
     report.merge("unit_counit", abs(counit(ctx, one) - 1.0))
 
     # D of each distinct probe once: the pairs share their probes
-    probes = {id(x): x for pair in probe_pairs for x in pair}
-    coproducts = {key: coproduct(ctx, x) for key, x in probes.items()}
+    of_probe = SharedCoproducts()
     for x, y in probe_pairs:
         xy = multiply(x, y)
         lhs = coproduct(ctx, xy)
-        rhs = tensor_multiply(coproducts[id(x)], coproducts[id(y)])
+        rhs = tensor_multiply(of_probe(ctx, x), of_probe(ctx, y))
         report.merge("coproduct_of_product", residual_between(lhs, rhs))
 
         e_lhs = counit(ctx, xy)

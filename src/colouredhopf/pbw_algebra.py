@@ -152,10 +152,10 @@ def _require_copy(home: Home, point: ParamPoint, colour: complex, what: str):
 
 
 def _pruned(terms: dict | None) -> dict:
-    """The terms above ``PRUNE_TOL`` in modulus; a NaN coefficient is kept."""
+    """The terms above ``precision.prune_tol`` in modulus; a NaN coefficient is kept."""
     if not terms:
         return {}
-    tol = coefficients.PRUNE_TOL
+    tol = coefficients.precision.prune_tol
     # most maps drop nothing, and the test and the copy then run in C; a NaN
     # minimum fails the test, and the filter keeps it
     if min(map(abs, terms.values())) > tol:
@@ -179,11 +179,11 @@ def _sum_terms(a: dict, b: dict) -> tuple[dict, float]:
 class AlgebraElement:
     """A finite complex-linear combination of PBW monomials.
 
-    Term maps are pruned at ``PRUNE_TOL`` on construction; addition and
-    scalar multiplication are componentwise.  ``gross`` is the largest
-    modulus of a term summed into a coefficient on the route that built the
-    element (module docstring); an element built from given terms has 0.
-    Instances are treated as immutable values.
+    Term maps are pruned at ``precision.prune_tol`` on construction;
+    addition and scalar multiplication are componentwise.  ``gross`` is the
+    largest modulus of a term summed into a coefficient on the route that
+    built the element (module docstring); an element built from given terms
+    has 0.  Instances are treated as immutable values.
     """
 
     __slots__ = ("home", "terms", "gross")
@@ -198,17 +198,6 @@ class AlgebraElement:
         _require_copy(other.home, self.home.point, self.home.colour, "add")
         acc, gross = _sum_terms(self.terms, other.terms)
         return AlgebraElement(self.home, acc, max(gross, self.gross, other.gross))
-
-    def __sub__(self, other: "AlgebraElement") -> "AlgebraElement":
-        return self + (-other)
-
-    def __neg__(self) -> "AlgebraElement":
-        return self.scaled(-1.0)
-
-    def __mul__(self, other):
-        if isinstance(other, AlgebraElement):
-            return multiply(self, other)
-        return self.scaled(other)
 
     def __rmul__(self, scalar) -> "AlgebraElement":
         return self.scaled(scalar)
@@ -429,20 +418,6 @@ class TensorElement:
         self._check_compatible(other, "add")
         acc, gross = _sum_terms(self.terms, other.terms)
         return TensorElement(self.homes, acc, max(gross, self.gross, other.gross))
-
-    def __sub__(self, other: "TensorElement") -> "TensorElement":
-        return self + other.scaled(-1.0)
-
-    def __neg__(self):
-        return self.scaled(-1.0)
-
-    def __mul__(self, other):
-        if isinstance(other, TensorElement):
-            return tensor_multiply(self, other)
-        return self.scaled(other)
-
-    def __rmul__(self, scalar):
-        return self.scaled(scalar)
 
     def scaled(self, scalar: complex) -> "TensorElement":
         c = as_scalar(scalar)

@@ -89,6 +89,8 @@ def shifted_odd_image_exponent(monkeypatch):
                           right.plus, right.minus)
     monkeypatch.setattr(coloured_hopf, "_ODD_IMAGES",
                         (((left, shifted), mu_term), minus_images))
+    # the shape tables are read from ``_ODD_IMAGES`` once; read them afresh
+    monkeypatch.setattr(coloured_hopf, "_COPRODUCT_SHAPES", {})
 
 
 def squared_degree_twist(monkeypatch):

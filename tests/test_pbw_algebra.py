@@ -263,8 +263,8 @@ def test_residual_between_is_nan_on_a_nan_coefficient():
 
 
 def test_pruning_keeps_nan_and_drops_only_small_terms_in_any_order():
-    """Only the term at or below ``PRUNE_TOL`` goes, wherever the NaN stands,
-    and the kept terms stay in order."""
+    """Only the term at or below ``precision.prune_tol`` goes, wherever the
+    NaN stands, and the kept terms stay in order."""
     words = (UNIT_MONOMIAL, Z_MONOMIAL, PBWMonomial(0, 1, 0j, 0j, 0, 0))
     for values in ((complex("nan"), 1e-20 + 0j, 1.0 + 0j), (complex("nan"), 1.0 + 0j)):
         for coeffs in itertools.permutations(values):

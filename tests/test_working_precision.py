@@ -11,7 +11,7 @@ relation_preservation and reduction are stubbed out here.
 
 import pytest
 
-pytest.importorskip("mpmath")
+mpmath = pytest.importorskip("mpmath")
 
 from colouredhopf import cli, coefficients, coloured_hopf  # noqa: E402
 from colouredhopf.cli import CHECKS, _draws  # noqa: E402
@@ -50,8 +50,21 @@ def test_symbolic_residuals_are_rounding(monkeypatch, draws):
     residuals = _symbolic_residuals(monkeypatch, draws)
     assert all(r < 1e-30 for r in residuals.values()), residuals
     # the block restores double precision
-    assert coefficients.PRUNE_TOL == 1e-14
+    assert coefficients.precision is coefficients.DOUBLE
     assert isinstance(cpow(2.0, 0.5), complex)
+
+
+def test_an_exception_in_the_block_restores_double_precision():
+    dps = mpmath.mp.dps
+    with pytest.raises(RuntimeError, match="inside"):
+        with working_precision(40):
+            assert isinstance(coefficients.colour_norm(2.0, 1.5), mpmath.mpc)
+            raise RuntimeError("inside")
+    assert coefficients.precision is coefficients.DOUBLE
+    assert mpmath.mp.dps == dps
+    # no cache serves the block's mpmath value
+    assert isinstance(cpow(2.0, 0.5), complex)
+    assert isinstance(coefficients.colour_norm(2.0, 1.5), complex)
 
 
 def test_planted_relative_error_still_reads_at_40_digits(monkeypatch, draws):
