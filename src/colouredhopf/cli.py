@@ -7,8 +7,9 @@ Subcommands:
   ybe      single-point coloured graded Yang-Baxter residual
   sweep    CSV of Yang-Baxter / cross-validation residuals over a colour grid
 
-Exit codes: 0 success, 1 verification or domain failure or an unwritable
-``--output``, 2 usage error.
+Exit codes: 0 success, 1 verification or domain failure (a singular point,
+or a scalar that overflows a double) or an unwritable ``--output``, 2 usage
+error (a malformed or non-finite complex literal among them).
 Complex values on the command line are written as "a+bi" literals and may
 start with a minus sign ("--s -0.5+1.2i").
 """
@@ -16,6 +17,7 @@ start with a minus sign ("--s -0.5+1.2i").
 from __future__ import annotations
 
 import argparse
+import cmath
 import functools
 import json
 import math
@@ -67,12 +69,15 @@ COMPLEX_OPTIONS = ("--q", "--s", "--lambda", "--mu", "--nu")
 
 
 def parse_complex(text: str) -> complex:
-    """Parse an "a+bi" literal (plain reals and "bi" forms included)."""
+    """Parse a finite "a+bi" literal (plain reals and "bi" forms included)."""
     cleaned = "".join(text.split()).lower().replace("i", "j")
     try:
-        return complex(cleaned)
+        value = complex(cleaned)
     except ValueError:
         raise argparse.ArgumentTypeError(f"not a complex literal: {text!r}")
+    if not cmath.isfinite(value):
+        raise argparse.ArgumentTypeError(f"not a finite complex literal: {text!r}")
+    return value
 
 
 def format_complex(z: complex) -> str:
@@ -310,7 +315,7 @@ def cmd_rmatrix(args) -> int:
         point = ParamPoint(args.q, args.s, args.guard)
         matrix = coloured_R_closed_form(point, args.lam, args.mu)
         agreement = crossval_residual(point, args.lam, args.mu, closed=matrix)
-    except (SingularParameterError, ValueError) as exc:
+    except (SingularParameterError, ValueError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     if args.format == "csv":
@@ -351,7 +356,7 @@ def cmd_ybe(args) -> int:
         point = ParamPoint(args.q, args.s, args.guard)
         residual = check_coloured_graded_ybe(point, args.lam, args.mu, args.nu,
                                              perturb=args.perturb)
-    except (SingularParameterError, ValueError) as exc:
+    except (SingularParameterError, ValueError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     print(repr(residual))
@@ -369,9 +374,7 @@ def _parse_complex_list(text: str) -> list[complex]:
 def cmd_sweep(args) -> int:
     try:
         point = ParamPoint(args.q, args.s, args.guard)
-        lams = _parse_complex_list(args.lam)
-        mus = _parse_complex_list(args.mu)
-        nus = _parse_complex_list(args.nu)
+        lams, mus, nus = args.lam, args.mu, args.nu
         if not (lams and mus and nus):
             print("usage error: empty colour grid", file=sys.stderr)
             return 2
@@ -396,7 +399,7 @@ def cmd_sweep(args) -> int:
                     ybe = check_coloured_graded_ybe(point, lam, mu, nu,
                                                     embedded=(r12, r13, r23))
                     rows.append(f"{lam_prefix},{mu_s},{nu_s},{ybe!r},{cv}")
-    except (SingularParameterError, ValueError) as exc:
+    except (SingularParameterError, ValueError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     return 0 if _write_output("\n".join(rows) + "\n", args.output) else 1
@@ -496,10 +499,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep = sub.add_parser("sweep", help="CSV residual sweep over a colour grid")
     p_sweep.add_argument("--q", type=parse_complex, required=True)
     p_sweep.add_argument("--s", type=parse_complex, required=True)
-    p_sweep.add_argument("--lambda", dest="lam", default="1",
+    p_sweep.add_argument("--lambda", dest="lam", type=_parse_complex_list, default="1",
                          help="comma-separated colour list")
-    p_sweep.add_argument("--mu", default="1", help="comma-separated colour list")
-    p_sweep.add_argument("--nu", default="1", help="comma-separated colour list")
+    p_sweep.add_argument("--mu", type=_parse_complex_list, default="1",
+                         help="comma-separated colour list")
+    p_sweep.add_argument("--nu", type=_parse_complex_list, default="1",
+                         help="comma-separated colour list")
     p_sweep.add_argument("--guard", type=_guard, default=DEFAULT_GUARD)
     p_sweep.add_argument("--output", help="write CSV here instead of stdout")
 

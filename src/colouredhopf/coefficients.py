@@ -61,10 +61,11 @@ precision = DOUBLE
 _PRECISION_CACHES: list = []
 
 #: entries each ``precision_cache`` keeps.  A request's working set is far
-#: smaller: at most 10 keys per cache in one verify draw, 32 over the four
-#: contexts a deep probe cycles through, and 12 colour norms in a 4x4x4
-#: sweep.  Draws and sweeps bring fresh colours, so an older entry is never
-#: read again and a larger bound would only hold dead scalars.
+#: smaller: at most 23 colour maps and 9 keys of each other cache in one
+#: verify draw, 48 colour maps over the four contexts a deep probe cycles
+#: through, and 12 colour norms in a 4x4x4 sweep.  Draws and sweeps bring
+#: fresh colours, so an older entry is never read again and a larger bound
+#: would only hold dead scalars.
 PRECISION_CACHE_SIZE = 128
 
 

@@ -14,9 +14,11 @@ antipode lands in the copy with colour mu.  On generators,
     S(psi+-) = -(a_mu/a_nu) q^(-Z) psi+-
 
 with a_c the colour normalisation at the root and every exponent in units
-of its own copy's colour (see ``pbw_algebra``).  The comultiplication
-extends as an algebra map into the graded tensor square, the counit
-multiplicatively, and the antipode as a graded anti-homomorphism
+of its own copy's colour (see ``pbw_algebra``).  D's slot scalars are the
+Z ratios and odd scales of the colour-pair maps s^lam_nu and s^mu_nu
+(``colour_group._pair_map``), and S's are those of s^mu_nu, negated.  The
+comultiplication extends as an algebra map into the graded tensor square,
+the counit multiplicatively, and the antipode as a graded anti-homomorphism
 S(xy) = (-1)**(deg x deg y) S(y) S(x).  Exponential factors are group-like:
 D copies their exponents into each slot unchanged, and S negates them.
 
@@ -36,8 +38,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .coefficients import ParamPoint, as_colour, colour_norm, precision_cache
-from .colour_group import _pair_scales, _scaled_term, sigma_pair, sigma_pair_slot
+from .coefficients import ParamPoint, as_colour
+from .colour_group import _pair_map, _pair_scales, _scaled_term, sigma_pair, sigma_pair_slot
 from .pbw_algebra import (
     UNIT_MONOMIAL,
     AlgebraElement,
@@ -89,19 +91,11 @@ class ColouredMapContext:
 
 
 def _coproduct_factors(ctx: ColouredMapContext) -> tuple[complex, complex, complex, complex]:
-    """Slot colour ratios lam/nu, mu/nu and odd-image scales a_lam/a_nu, a_mu/a_nu."""
-    return _colour_factors(ctx.p, ctx.lam, ctx.mu, ctx.nu)
-
-
-@precision_cache
-def _colour_factors(p: ParamPoint, lam: complex, mu: complex, nu: complex
-                    ) -> tuple[complex, complex, complex, complex]:
-    """``_coproduct_factors`` cached by value, so that the cache holds no
-    context and none of the ``Home``s a context carries."""
-    q, guard = p.q, p.guard
-    a_nu = colour_norm(q, nu, guard)
-    return (lam / nu, mu / nu,
-            colour_norm(q, lam, guard) / a_nu, colour_norm(q, mu, guard) / a_nu)
+    """Slot colour ratios lam/nu, mu/nu and odd-image scales a_lam/a_nu,
+    a_mu/a_nu: the Z ratios and odd scales of s^lam_nu and s^mu_nu."""
+    rl, a_l, _ = _pair_map(ctx.p, ctx.lam, ctx.nu)
+    rm, a_m, _ = _pair_map(ctx.p, ctx.mu, ctx.nu)
+    return rl, rm, a_l, a_m
 
 
 #: slot factors of D(psi+) and D(psi-): the a_lam term, then the a_mu term
@@ -249,7 +243,7 @@ def counit(ctx: ColouredMapContext, x: AlgebraElement) -> complex:
 
 
 class _AntipodeFactors(NamedTuple):
-    """What ``_monomial_antipode`` needs of S^mu_nu, computed once per map."""
+    """What ``_monomial_antipode`` needs of S^mu_nu."""
 
     home: Home  # the target copy, colour mu
     ratio: complex  # S(Z) = ratio * Z, ratio = -mu/nu
@@ -257,18 +251,10 @@ class _AntipodeFactors(NamedTuple):
     inv_denom: complex | None  # _home_mul_data(home)
 
 
-def _antipode_factors(ctx: ColouredMapContext) -> _AntipodeFactors:
-    return _antipode_scalars(ctx.p, ctx.mu, ctx.nu)
-
-
-@precision_cache
-def _antipode_scalars(p: ParamPoint, mu: complex, nu: complex) -> _AntipodeFactors:
-    """``_antipode_factors`` cached by value, once per (point, mu, nu); a draw
-    takes antipodes with about six of them, each up to 52 times."""
-    q, guard = p.q, p.guard
-    home = Home(p, mu)
-    psi_scale = -(colour_norm(q, mu, guard) / colour_norm(q, nu, guard))
-    return _AntipodeFactors(home, -mu / nu, psi_scale, _home_mul_data(home))
+def _antipode_factors(p: ParamPoint, mu: complex, nu: complex) -> _AntipodeFactors:
+    """S^mu_nu's scalars: those of s^mu_nu, negated."""
+    ratio, odd, home = _pair_map(p, mu, nu)
+    return _AntipodeFactors(home, -ratio, -odd, _home_mul_data(home))
 
 
 #: the words q^(-Z) psi+ and q^(-Z) psi- of S(psi+) and S(psi-)
@@ -298,7 +284,7 @@ def _monomial_antipode(m: PBWMonomial, factors: _AntipodeFactors,
 def antipode(ctx: ColouredMapContext, x: AlgebraElement) -> AlgebraElement:
     """Coloured antipode, extended as a graded anti-homomorphism."""
     _require_copy(x.home, ctx.p, ctx.nu, "antipode")
-    factors = _antipode_factors(ctx)
+    factors = _antipode_factors(ctx.p, ctx.mu, ctx.nu)
 
     def image(m):
         terms, gross = _monomial_antipode(m, factors)
@@ -617,8 +603,7 @@ def verify_antipode_axiom(
     alpha, lam, mu, lam2, mu2, nu = (as_colour(c) for c in colours)
     report = ResidualReport()
     out_home = Home(p, alpha)
-    s_left = _antipode_factors(ColouredMapContext(p, alpha, alpha, lam))
-    s_right = _antipode_factors(ColouredMapContext(p, alpha, alpha, mu2))
+    s_left, s_right = _antipode_factors(p, alpha, lam), _antipode_factors(p, alpha, mu2)
     left_ctx, right_ctx = ColouredMapContext(p, lam, mu, nu), ColouredMapContext(p, lam2, mu2, nu)
     for x in probes:
         target = unit(out_home).scaled(counit(left_ctx, x))

@@ -29,8 +29,24 @@ def test_parse_complex_literals():
 def test_parse_complex_rejects_garbage():
     import argparse
 
-    with pytest.raises(argparse.ArgumentTypeError):
-        parse_complex("two")
+    for text in ("two", "nan", "nanj", "1e999"):
+        with pytest.raises(argparse.ArgumentTypeError):
+            parse_complex(text)
+
+
+@pytest.mark.parametrize("argv", [
+    ["rmatrix", "--q", "nan", "--s", "1.5"],
+    ["sweep", "--q", "2", "--s", "1.5", "--lambda", "nan"],
+], ids=["rmatrix", "sweep"])
+def test_non_finite_literal_is_usage_error(argv, capsys):
+    """A NaN or infinite complex literal exits 2 with a usage line, so no
+    command writes NaN tokens (which JSON does not allow) or NaN residuals."""
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "not a finite complex literal" in captured.err
 
 
 def test_format_complex_roundtrip():
@@ -381,6 +397,21 @@ def test_unwritable_output_fails(argv, tmp_path, capsys):
     and nothing on standard output, for every command that writes a file."""
     rc = main([*argv, "--output", str(tmp_path / "missing" / "out")])
     assert rc == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("argv", [
+    ["rmatrix", "--q", "2", "--s", "1.5", "--lambda", "1e308"],
+    ["ybe", "--q", "2", "--s", "1.5", "--mu", "800"],
+    ["sweep", "--q", "2", "--s", "1.5", "--nu", "1e308+1e308i"],
+], ids=["rmatrix", "ybe", "sweep"])
+def test_overflow_is_a_domain_failure(argv, capsys):
+    """A colour whose power of q overflows a double exits 1 with one error
+    line, like a singular point, and no traceback."""
+    assert main(argv) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ")

@@ -142,7 +142,7 @@ def test_every_cache_in_the_package_is_bounded_and_follows_the_precision(tmp_pat
         for name, value in vars(module).items():
             if hasattr(value, "cache_parameters") and value.__module__ == module.__name__:
                 caches[f"{info.name}.{name}"] = value
-    assert {"colour_group._pair_map", "coloured_hopf._antipode_scalars",
+    assert {"colour_group._pair_map", "pbw_algebra._home_mul_data",
             "cli.build_parser"} <= set(caches)
     registered = coefficients._PRECISION_CACHES
     assert all(any(c is cache for cache in caches.values()) for c in registered)

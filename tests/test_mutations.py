@@ -243,7 +243,7 @@ def test_plants_reach_the_whole_element_and_slot_routes(monkeypatch):
     gens = generators(ctx.in_home)
     x = multiply(gens["Z"], multiply(gens["psi+"], gens["psi-"]))
     t = coproduct(ctx, x)
-    s_factors = coloured_hopf._antipode_factors(ColouredMapContext(p, 1.0, 1.0, ctx.lam))
+    s_factors = coloured_hopf._antipode_factors(p, 1.0, ctx.lam)
     routes = (
         (lambda: coproduct(ctx, x), {"_monomial_coproduct", "_coproduct_factors"}),
         (lambda: coloured_hopf._apply_slot_coproduct(
